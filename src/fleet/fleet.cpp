@@ -9,7 +9,6 @@
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/thread_pool.hpp"
-#include "energy/energy_model.hpp"
 
 namespace rpx::fleet {
 
@@ -159,34 +158,36 @@ FleetServer::admitLocked() const
 u32
 FleetServer::addStream()
 {
-    // One critical section: creation and (mid-run) seeding must be
-    // atomic, or run()'s start-up seeding loop can race this and submit
-    // the same stream's first frame twice.
-    std::lock_guard<std::mutex> lock(mutex_);
-    const guard::AdmissionResult verdict = admitLocked();
-    if (!verdict.admitted()) {
-        ++admission_rejects_;
+    const guard::AdmissionResult verdict = tryAddStream();
+    if (!verdict.admitted())
         throwRuntime(verdict.reason);
-    }
-    const u32 id = addStreamLocked();
-    if (running_)
-        // Joined mid-run: its first frame enters the graph immediately.
-        seedStream(streams_.at(id), id);
-    return id;
+    return verdict.id;
 }
 
 guard::AdmissionResult
 FleetServer::tryAddStream()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    guard::AdmissionResult res = admitLocked();
-    if (!res.admitted()) {
-        ++admission_rejects_;
-        return res;
+    guard::AdmissionResult res;
+    StreamEntry *joined = nullptr;
+    {
+        // Creation and the mid-run in-flight mark share one critical
+        // section, or run()'s start-up seeding loop can race this and
+        // submit the same stream's first frame twice.
+        std::lock_guard<std::mutex> lock(mutex_);
+        res = admitLocked();
+        if (!res.admitted()) {
+            ++admission_rejects_;
+            return res;
+        }
+        res.id = addStreamLocked();
+        if (running_) {
+            joined = &streams_.at(res.id);
+            beginFrameLocked(*joined);
+        }
     }
-    res.id = addStreamLocked();
-    if (running_)
-        seedStream(streams_.at(res.id), res.id);
+    // Joined mid-run: its first frame enters the graph immediately.
+    if (joined)
+        submitOrRetire(*joined, res.id, 0);
     return res;
 }
 
@@ -196,15 +197,15 @@ FleetServer::streamReportLocked(u32 id, const StreamEntry &entry) const
     FleetStreamReport sr;
     sr.id = id;
     sr.label = entry.label;
-    sr.frames = entry.done;
-    sr.deadline_misses = entry.deadline_misses;
-    sr.quarantined = entry.quarantined;
-    sr.shed = entry.shed;
-    sr.errors = entry.errors;
-    sr.dma_retries = entry.dma_retries;
-    sr.dma_dropped_bursts = entry.dma_dropped_bursts;
+    sr.frames = entry.totals.frames;
+    sr.deadline_misses = entry.totals.deadline_misses;
+    sr.quarantined = entry.totals.quarantined;
+    sr.shed = entry.totals.shed;
+    sr.errors = entry.totals.errors;
+    sr.dma_retries = entry.totals.dma_retries;
+    sr.dma_dropped_bursts = entry.totals.dma_dropped_bursts;
     sr.degradation_level = entry.degradation_level;
-    sr.completed = entry.done >= entry.target;
+    sr.completed = entry.totals.frames >= entry.target;
     sr.health = entry.health.state();
     sr.health_transitions = entry.health.transitions();
     sr.health_recoveries = entry.health.recoveries();
@@ -251,8 +252,8 @@ FleetServer::removeStream(u32 id)
         // retires at its completion accounting, after that last frame
         // has landed in journal totals.
     }
-    if (retired && config_.stream_retired)
-        config_.stream_retired(sr);
+    if (retired)
+        announceRetired(sr, false);
     return true;
 }
 
@@ -272,9 +273,8 @@ FleetServer::drain()
     }
     // Seeded streams retire through their in-flight frame's completion;
     // the last one out closes the capture queue and run() returns.
-    if (config_.stream_retired)
-        for (const FleetStreamReport &sr : retired)
-            config_.stream_retired(sr);
+    for (const FleetStreamReport &sr : retired)
+        announceRetired(sr, false);
 }
 
 StreamContext *
@@ -311,14 +311,76 @@ FleetServer::makeTask(StreamEntry &entry, u32 id, u64 frame)
 }
 
 void
-FleetServer::seedStream(StreamEntry &entry, u32 id)
+FleetServer::beginFrameLocked(StreamEntry &entry)
 {
-    // Caller holds mutex_. The push cannot block: in-flight tasks never
-    // exceed live streams, and every queue holds max_streams of them.
     entry.seeded = true;
     entry.inflight_since = std::chrono::steady_clock::now();
-    FrameTask task = makeTask(entry, id, entry.done);
+    entry.wd_warned = false;
+    entry.wd_quarantined = false;
+}
+
+void
+FleetServer::submitOrRetire(StreamEntry &entry, u32 id, u64 frame)
+{
+    FrameTask task;
+    try {
+        task = makeTask(entry, id, frame);
+    } catch (const std::exception &) {
+        // Scene source failed: retire the stream with an error.
+        FleetStreamReport report;
+        bool close = false;
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            ++entry.totals.errors;
+            report = retireLocked(id, entry);
+            close = live_ == 0;
+        }
+        announceRetired(report, close);
+        return;
+    }
+    // Cannot block: in-flight tasks never exceed live streams, and every
+    // queue holds max_streams of them.
     capture_q_.push(std::move(task));
+}
+
+void
+FleetServer::announceRetired(const FleetStreamReport &report, bool close)
+{
+    if (config_.stream_retired) {
+        // Outside the lock: the hook may call addStream() to replace the
+        // departed stream.
+        config_.stream_retired(report);
+        if (close) {
+            // Re-check shutdown: a replacement added by the hook must
+            // not find its queues closed under it.
+            std::lock_guard<std::mutex> lock(mutex_);
+            close = live_ == 0;
+        }
+    }
+    if (close)
+        capture_q_.close();
+}
+
+template <typename Queue>
+std::optional<FrameTask>
+FleetServer::nextTask(Queue &queue, std::atomic<u64> &beat)
+{
+    // Under a watchdog, workers poll with a timeout so every loop pass
+    // bumps the stage heartbeat — a wedged peer cannot make this worker
+    // look dead too. Guard-off keeps the plain blocking pop (seed
+    // behavior, zero extra wakeups).
+    if (!config_.guard.watchdog.enabled)
+        return queue.pop();
+    const auto beat_every = std::chrono::microseconds(
+        config_.guard.watchdog.interval_ms * u64{1000});
+    for (;;) {
+        std::optional<FrameTask> task = queue.popFor(beat_every);
+        beat.fetch_add(1, std::memory_order_relaxed);
+        // A timeout is only a heartbeat; nullopt means done once the
+        // queue is closed and drained.
+        if (task || (queue.closed() && queue.size() == 0))
+            return task;
+    }
 }
 
 template <typename Stage>
@@ -334,6 +396,42 @@ FleetServer::runStage(const Stage &stage, FrameTask &task)
 }
 
 void
+FleetServer::FrameTotals::add(const PipelineFrameResult &r)
+{
+    ++frames;
+    ++ok_frames;
+    deadline_misses += r.deadline_missed ? 1 : 0;
+    quarantined += r.quarantined ? 1 : 0;
+    shed += r.shed ? 1 : 0;
+    transient_faults += r.transient_faults;
+    dma_retries += r.dma_retries;
+    dma_dropped_bursts += r.dma_dropped_bursts;
+    bytes_written += r.traffic.bytes_written;
+    bytes_read += r.traffic.bytes_read;
+    metadata_bytes += r.traffic.metadata_bytes;
+    kept_sum += r.kept_fraction;
+}
+
+FleetServer::FrameTotals &
+FleetServer::FrameTotals::operator+=(const FrameTotals &o)
+{
+    frames += o.frames;
+    ok_frames += o.ok_frames;
+    errors += o.errors;
+    deadline_misses += o.deadline_misses;
+    quarantined += o.quarantined;
+    shed += o.shed;
+    transient_faults += o.transient_faults;
+    dma_retries += o.dma_retries;
+    dma_dropped_bursts += o.dma_dropped_bursts;
+    bytes_written += o.bytes_written;
+    bytes_read += o.bytes_read;
+    metadata_bytes += o.metadata_bytes;
+    kept_sum += o.kept_sum;
+    return *this;
+}
+
+void
 FleetServer::finishFrame(FrameTask &task, bool errored)
 {
     latency_.record(std::chrono::duration<double, std::micro>(
@@ -344,42 +442,19 @@ FleetServer::finishFrame(FrameTask &task, bool errored)
     StreamEntry *entry = nullptr;
     bool resubmit = false;
     bool close = false;
-    bool retired = false;
     FleetStreamReport retired_report;
     u64 next = 0;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         entry = &streams_.at(id);
-        ++entry->done;
-        ++frames_done_;
         guard::HealthSignal sig;
         if (errored) {
-            ++entry->errors;
-            ++errors_;
+            ++entry->totals.frames;
+            ++entry->totals.errors;
             sig.decode_quarantined = true; // errors count as dirty frames
         } else {
             const PipelineFrameResult &r = task.result;
-            if (r.deadline_missed) {
-                ++entry->deadline_misses;
-                ++deadline_misses_;
-            }
-            if (r.quarantined) {
-                ++entry->quarantined;
-                ++quarantined_;
-            }
-            if (r.shed) {
-                ++entry->shed;
-                ++shed_frames_;
-            }
-            transient_faults_ += r.transient_faults;
-            entry->dma_retries += r.dma_retries;
-            entry->dma_dropped_bursts += r.dma_dropped_bursts;
-            dma_retries_ += r.dma_retries;
-            dma_dropped_bursts_ += r.dma_dropped_bursts;
-            bytes_written_ += r.traffic.bytes_written;
-            bytes_read_ += r.traffic.bytes_read;
-            metadata_bytes_ += r.traffic.metadata_bytes;
-            kept_sum_ += r.kept_fraction;
+            entry->totals.add(r);
             entry->degradation_level = r.degradation_level;
             sig.decode_quarantined = r.quarantined;
             sig.shed = r.shed;
@@ -396,50 +471,19 @@ FleetServer::finishFrame(FrameTask &task, bool errored)
                     ? task.encode_hold_us
                     : 0.9 * encode_hold_ewma_us_ +
                           0.1 * task.encode_hold_us;
-        resubmit = entry->active && entry->done < entry->target;
+        resubmit = entry->active && entry->totals.frames < entry->target;
         if (resubmit) {
-            next = entry->done;
-            entry->inflight_since = std::chrono::steady_clock::now();
-            entry->wd_warned = false;
-            entry->wd_quarantined = false;
+            next = entry->totals.frames;
+            beginFrameLocked(*entry);
         } else {
             retired_report = retireLocked(id, *entry);
-            retired = true;
             close = live_ == 0;
         }
     }
-
-    if (resubmit) {
-        FrameTask nt;
-        bool built = false;
-        try {
-            nt = makeTask(*entry, id, next);
-            built = true;
-        } catch (const std::exception &) {
-            // Scene source failed: retire the stream with an error.
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++entry->errors;
-            ++errors_;
-            retired_report = retireLocked(id, *entry);
-            retired = true;
-            close = live_ == 0;
-        }
-        if (built)
-            capture_q_.push(std::move(nt));
-    }
-    if (retired && config_.stream_retired) {
-        // Outside the lock: the hook may call addStream() to replace the
-        // departed stream.
-        config_.stream_retired(retired_report);
-        if (close) {
-            // Re-check shutdown: a replacement added by the hook must
-            // not find its queues closed under it.
-            std::lock_guard<std::mutex> lock(mutex_);
-            close = live_ == 0;
-        }
-    }
-    if (close)
-        capture_q_.close();
+    if (resubmit)
+        submitOrRetire(*entry, id, next);
+    else
+        announceRetired(retired_report, close);
 }
 
 bool
@@ -455,228 +499,9 @@ FleetServer::pastShedDeadline(const FrameTask &task) const
 }
 
 void
-FleetServer::shedFrame(FrameTask &task, bool stored)
-{
-    StreamContext &s = *task.stream;
-    const PipelineConfig &cfg = s.config();
-    PipelineObs *po = s.sharedObs();
-    obs::ObsContext *ctx = po ? po->context() : nullptr;
-    const bool tele = s.telemetry() != nullptr;
-    const FrameIndex t = task.index;
-    PipelineFrameResult &result = task.result;
-
-    // The result still carries a frame — the hold-last-good image the
-    // decoder's quarantine verdicts serve — so a shed is a freshness
-    // loss in the accounting, not a hole. (The vision sink itself only
-    // sees decoded frames; shed is its own first-class outcome.)
-    result.held_last_good = true;
-    result.shed = true;
-    result.decoded = s.haveLastGood()
-                         ? s.lastGood()
-                         : Image(cfg.width, cfg.height,
-                                 PixelFormat::Gray8, 0);
-    result.kept_fraction = 0.0; // nothing fresh delivered
-    result.index = t;
-
-    result.csi_dropped_lines = task.csi_status.dropped_lines;
-    result.dma_retries = task.store_report.dma_retries;
-    result.dma_dropped_bursts = task.store_report.dma_dropped_bursts;
-    result.transient_faults =
-        task.store_report.dma_retries +
-        task.store_report.dma_dropped_bursts +
-        (task.csi_status.corrupted_bytes > 0 ? 1 : 0) +
-        (task.csi_status.dropped_lines > 0 ? 1 : 0);
-
-    // The degradation ladder sees the shed as a missed frame (the stream
-    // is not keeping up), but result.deadline_missed stays false: shed
-    // frames are first-class outcomes, not misses — the miss counters
-    // measure frames that ran to completion late.
-    fault::DegradationController *degrade = s.degradation();
-    if (degrade) {
-        fault::FrameHealth health;
-        health.deadline_missed = true;
-        health.transient_faults =
-            static_cast<u32>(result.transient_faults);
-        degrade->onFrame(health);
-        result.degradation_level = degrade->level();
-    }
-
-    // Traffic: an encode-point shed never touched DRAM (zero bytes); a
-    // decode-point shed already paid the write side (payload + metadata
-    // committed by the store stage) but reads nothing back.
-    if (stored) {
-        result.traffic.bytes_written = task.pixel_bytes;
-        result.traffic.metadata_bytes = task.metadata_bytes; // write only
-    }
-    result.traffic.footprint = s.store().totalFootprint();
-    s.traffic().add(result.traffic);
-
-    // Energy mirrors the traffic split: sensing/CSI were spent either
-    // way; DRAM-side energy is write-only (one DDR crossing + array
-    // write) and only when the frame was stored.
-    const u64 pixels_in = task.pixels_in
-                              ? task.pixels_in
-                              : static_cast<u64>(task.gray.pixelCount());
-    const u64 kept_pixels =
-        stored ? static_cast<u64>(task.pixel_bytes) : 0;
-    double e_sense_nj = 0.0, e_csi_nj = 0.0, e_dram_nj = 0.0;
-    const EnergyConstants ec;
-    const double shed_dram_nj_per_px =
-        (ec.ddr_comm_crossing_pj + ec.dram_write_pj) / 1e3;
-    if (tele || (po && po->attached())) {
-        e_sense_nj = ec.sense_pj * static_cast<double>(pixels_in) / 1e3;
-        e_csi_nj = ec.csi_pj * static_cast<double>(pixels_in) / 1e3;
-        e_dram_nj =
-            shed_dram_nj_per_px * static_cast<double>(kept_pixels);
-        if (po)
-            po->addEnergy(e_sense_nj, e_csi_nj, e_dram_nj);
-    }
-
-    if (po && po->attached()) {
-        po->frames->inc();
-        po->bytes_written->add(result.traffic.bytes_written);
-        po->bytes_read->add(result.traffic.bytes_read);
-        po->metadata_bytes->add(result.traffic.metadata_bytes);
-        po->shed_frames->inc();
-        po->transient_faults->add(result.transient_faults);
-        po->dma_retries->add(result.dma_retries);
-        po->dma_dropped_bursts->add(result.dma_dropped_bursts);
-        po->kept_fraction->set(0.0);
-        po->footprint->set(
-            static_cast<double>(result.traffic.footprint));
-    }
-
-    if (obs::TelemetrySink *sink = s.telemetry()) {
-        obs::FrameTelemetry ft;
-        ft.index = static_cast<u64>(t);
-        ft.stream = cfg.stream_label;
-        ft.sensor_us = task.lat_sensor;
-        ft.isp_us = task.lat_isp;
-        ft.encode_us = task.lat_encode;
-        ft.dram_write_us = task.lat_dram_write;
-        ft.decode_us = 0.0; // never decoded
-        ft.total_us = std::chrono::duration<double, std::micro>(
-                          std::chrono::steady_clock::now() - task.start)
-                          .count();
-
-        ft.pixels_in = pixels_in;
-        ft.pixels_kept = kept_pixels;
-        ft.bytes_written = result.traffic.bytes_written;
-        ft.bytes_read = result.traffic.bytes_read;
-        ft.metadata_bytes = result.traffic.metadata_bytes;
-
-        const DramStats &ds = s.dram().stats();
-        ft.dram_write_transactions =
-            ds.write_transactions - task.dram_before.write_transactions;
-        ft.dram_read_transactions =
-            ds.read_transactions - task.dram_before.read_transactions;
-        ft.dram_bytes_written =
-            ds.bytes_written - task.dram_before.bytes_written;
-        ft.dram_bytes_read = ds.bytes_read - task.dram_before.bytes_read;
-
-        const EncoderStats &es = s.encoder().stats();
-        ft.compare_cycles =
-            es.compare_cycles - task.enc_before.compare_cycles;
-        ft.stream_cycles =
-            es.stream_cycles - task.enc_before.stream_cycles;
-        ft.region_comparisons =
-            es.region_comparisons - task.enc_before.region_comparisons;
-
-        ft.quarantined = false;
-        ft.held_last_good = true;
-        ft.deadline_missed = false;
-        ft.shed = true;
-        ft.csi_dropped_lines = result.csi_dropped_lines;
-        ft.transient_faults = result.transient_faults;
-        ft.dma_retries = result.dma_retries;
-        ft.dma_dropped_bursts = result.dma_dropped_bursts;
-        ft.degradation_level = result.degradation_level;
-
-        ft.energy_sense_nj = e_sense_nj;
-        ft.energy_csi_nj = e_csi_nj;
-        ft.energy_dram_nj = e_dram_nj;
-        ft.energy_total_nj = e_sense_nj + e_csi_nj + e_dram_nj;
-
-        // Per-region attribution exists only once the encoder ran; a
-        // stored shed attributes the written payload with the write-side
-        // energy constant so region sums still reconcile with the frame.
-        // (The encoder's label/attribution state is this frame's — one
-        // in-flight frame per stream.)
-        if (stored) {
-            const std::vector<RegionLabel> &labels =
-                s.encoder().regionLabels();
-            const RegionAttribution &attr =
-                s.encoder().lastFrameAttribution();
-            ft.regions.reserve(labels.size());
-            for (size_t i = 0; i < labels.size(); ++i) {
-                const RegionLabel &l = labels[i];
-                obs::RegionTelemetry rt;
-                rt.x = l.x;
-                rt.y = l.y;
-                rt.w = l.w;
-                rt.h = l.h;
-                rt.stride = l.stride;
-                rt.skip = l.skip;
-                rt.active = l.activeAt(t);
-                if (i < attr.kept.size()) {
-                    rt.pixels_kept = attr.kept[i];
-                    rt.comparisons = attr.comparisons[i];
-                }
-                rt.payload_bytes = rt.pixels_kept;
-                rt.energy_nj = shed_dram_nj_per_px *
-                               static_cast<double>(rt.pixels_kept);
-                ft.regions.push_back(std::move(rt));
-            }
-        }
-        sink->record(ft);
-    }
-
-    double frame_us;
-    if (ctx && ctx->trace()) {
-        obs::TraceRecorder *tr = ctx->trace();
-        frame_us = tr->nowUs() - task.trace_start_us;
-        tr->record({"frame", "pipeline", task.trace_start_us, frame_us,
-                    static_cast<u32>(obs::TraceLane::Pipeline),
-                    static_cast<i64>(t)});
-    } else {
-        frame_us = std::chrono::duration<double, std::micro>(
-                       std::chrono::steady_clock::now() - task.start)
-                       .count();
-    }
-    if (po && po->h_frame)
-        po->h_frame->record(frame_us);
-
-    // Drop the payloads a normal path would have consumed.
-    task.gray = Image();
-    task.encoded = EncodedFrame();
-}
-
-void
 FleetServer::captureLoop()
 {
-    // Under a watchdog, workers poll with a timeout so every loop pass
-    // bumps the stage heartbeat — a wedged peer cannot make this worker
-    // look dead too. Guard-off keeps the plain blocking pop (seed
-    // behavior, zero extra wakeups).
-    const bool timed = config_.guard.watchdog.enabled;
-    const auto beat_every =
-        std::chrono::microseconds(config_.guard.watchdog.interval_ms *
-                                  u64{1000});
-    for (;;) {
-        std::optional<FrameTask> t;
-        if (timed) {
-            t = capture_q_.popFor(beat_every);
-            beat_capture_.fetch_add(1, std::memory_order_relaxed);
-            if (!t) {
-                if (capture_q_.closed() && capture_q_.size() == 0)
-                    break;
-                continue; // timeout heartbeat
-            }
-        } else {
-            t = capture_q_.pop();
-            if (!t)
-                break;
-        }
+    while (std::optional<FrameTask> t = nextTask(capture_q_, beat_capture_)) {
         FrameTask task = std::move(*t);
         if (chaos_)
             chaos_->perturb(fault::ChaosSite::CaptureJitter,
@@ -696,25 +521,7 @@ FleetServer::captureLoop()
 void
 FleetServer::encodeLoop()
 {
-    const bool timed = config_.guard.watchdog.enabled;
-    const auto beat_every =
-        std::chrono::microseconds(config_.guard.watchdog.interval_ms *
-                                  u64{1000});
-    for (;;) {
-        std::optional<FrameTask> t;
-        if (timed) {
-            t = encode_q_.popFor(beat_every);
-            beat_encode_.fetch_add(1, std::memory_order_relaxed);
-            if (!t) {
-                if (encode_q_.closed() && encode_q_.size() == 0)
-                    break;
-                continue;
-            }
-        } else {
-            t = encode_q_.pop();
-            if (!t)
-                break;
-        }
+    while (std::optional<FrameTask> t = nextTask(encode_q_, beat_encode_)) {
         FrameTask task = std::move(*t);
         // Load shedding happens *before* the engine lease: a frame the
         // fault plan sheds (deterministic Stage::Shed verdict) or one
@@ -761,25 +568,8 @@ FleetServer::storeLoop()
     // Batched DRAM/DMA submission: drain whatever is queued (up to
     // store_batch_max frames) and commit the burst back-to-back, the way
     // a DMA engine chains descriptors across streams.
-    const bool timed = config_.guard.watchdog.enabled;
-    const auto beat_every =
-        std::chrono::microseconds(config_.guard.watchdog.interval_ms *
-                                  u64{1000});
-    for (;;) {
-        std::optional<FrameTask> first;
-        if (timed) {
-            first = store_q_.popFor(beat_every);
-            beat_store_.fetch_add(1, std::memory_order_relaxed);
-            if (!first) {
-                if (store_q_.closed() && store_q_.size() == 0)
-                    break;
-                continue;
-            }
-        } else {
-            first = store_q_.pop();
-            if (!first)
-                break;
-        }
+    while (std::optional<FrameTask> first =
+               nextTask(store_q_, beat_store_)) {
         std::vector<FrameTask> batch;
         batch.push_back(std::move(*first));
         while (batch.size() <
@@ -813,25 +603,7 @@ FleetServer::storeLoop()
 void
 FleetServer::decodeLoop()
 {
-    const bool timed = config_.guard.watchdog.enabled;
-    const auto beat_every =
-        std::chrono::microseconds(config_.guard.watchdog.interval_ms *
-                                  u64{1000});
-    for (;;) {
-        std::optional<FrameTask> t;
-        if (timed) {
-            t = decode_q_.popFor(beat_every);
-            beat_decode_.fetch_add(1, std::memory_order_relaxed);
-            if (!t) {
-                if (decode_q_.closed() && decode_q_.size() == 0)
-                    break;
-                continue;
-            }
-        } else {
-            t = decode_q_.pop();
-            if (!t)
-                break;
-        }
+    while (std::optional<FrameTask> t = nextTask(decode_q_, beat_decode_)) {
         FrameTask task = std::move(*t);
         // Second shed point: the frame is stored (write-side traffic
         // paid), but a hopeless frame still should not burn a decode
@@ -959,6 +731,7 @@ FleetServer::run()
         if (watchdog)
             workers.push_back(pool.submit([this] { watchdogLoop(); }));
 
+        std::vector<std::pair<u32, StreamEntry *>> seeds;
         bool close_now = false;
         {
             std::lock_guard<std::mutex> lock(mutex_);
@@ -968,7 +741,8 @@ FleetServer::run()
                 if (entry.finished || entry.seeded)
                     continue;
                 entry.epoch = start;
-                seedStream(entry, id);
+                beginFrameLocked(entry);
+                seeds.emplace_back(id, &entry);
             }
             // Live streams are all in flight now; closure is theirs to
             // cascade. Only a completely empty fleet closes here.
@@ -976,6 +750,8 @@ FleetServer::run()
         }
         if (close_now)
             capture_q_.close();
+        for (const auto &[id, entry] : seeds)
+            submitOrRetire(*entry, id, 0);
 
         for (auto &f : workers)
             f.get();
@@ -987,22 +763,35 @@ FleetServer::run()
 
     FleetReport rep;
     rep.streams_started = static_cast<u32>(streams_.size());
-    rep.frames = frames_done_;
-    rep.errors = errors_;
-    rep.deadline_misses = deadline_misses_;
-    rep.quarantined = quarantined_;
-    rep.transient_faults = transient_faults_;
-    rep.bytes_written = bytes_written_;
-    rep.bytes_read = bytes_read_;
-    rep.metadata_bytes = metadata_bytes_;
-    const u64 ok_frames = frames_done_ - errors_;
+    FrameTotals sum;
+    for (const auto &[id, entry] : streams_) {
+        sum += entry.totals;
+        FleetStreamReport sr = streamReportLocked(id, entry);
+        if (sr.completed)
+            ++rep.streams_completed;
+        rep.health_transitions += sr.health_transitions;
+        rep.health_recoveries += sr.health_recoveries;
+        rep.streams.push_back(std::move(sr));
+    }
+    rep.frames = sum.frames;
+    rep.errors = sum.errors;
+    rep.deadline_misses = sum.deadline_misses;
+    rep.quarantined = sum.quarantined;
+    rep.shed_frames = sum.shed;
+    rep.transient_faults = sum.transient_faults;
+    rep.dma_retries = sum.dma_retries;
+    rep.dma_dropped_bursts = sum.dma_dropped_bursts;
+    rep.bytes_written = sum.bytes_written;
+    rep.bytes_read = sum.bytes_read;
+    rep.metadata_bytes = sum.metadata_bytes;
     rep.kept_fraction_mean =
-        ok_frames ? kept_sum_ / static_cast<double>(ok_frames) : 0.0;
+        sum.ok_frames ? sum.kept_sum / static_cast<double>(sum.ok_frames)
+                      : 0.0;
     rep.wall_seconds =
         std::chrono::duration<double>(end - start).count();
     rep.frames_per_second =
         rep.wall_seconds > 0.0
-            ? static_cast<double>(frames_done_) / rep.wall_seconds
+            ? static_cast<double>(sum.frames) / rep.wall_seconds
             : 0.0;
     rep.latency_p50_us = latency_.quantile(0.5);
     rep.latency_p99_us = latency_.quantile(0.99);
@@ -1019,9 +808,6 @@ FleetServer::run()
     rep.store_queue = store_q_.stats();
     rep.encode_queue = encode_q_.stats();
     rep.decode_queue = decode_q_.stats();
-    rep.shed_frames = shed_frames_;
-    rep.dma_retries = dma_retries_;
-    rep.dma_dropped_bursts = dma_dropped_bursts_;
     rep.admission_rejects = admission_rejects_;
     rep.watchdog_warns = watchdog_warns_;
     rep.watchdog_quarantines = watchdog_quarantines_;
@@ -1029,14 +815,6 @@ FleetServer::run()
     if (chaos_) {
         rep.chaos_hits = chaos_->totalHits();
         rep.chaos_slept_us = chaos_->totalSleptUs();
-    }
-    for (const auto &[id, entry] : streams_) {
-        FleetStreamReport sr = streamReportLocked(id, entry);
-        if (sr.completed)
-            ++rep.streams_completed;
-        rep.health_transitions += sr.health_transitions;
-        rep.health_recoveries += sr.health_recoveries;
-        rep.streams.push_back(std::move(sr));
     }
     return rep;
 }

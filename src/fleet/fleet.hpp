@@ -28,6 +28,13 @@
  *  - fleet memory is bounded by the per-stream contexts plus at most one
  *    in-flight frame per stream.
  *
+ * Every frame ends on the stage graph's single outcome path: decoded by
+ * DecodeStage, or shed by shedFrame() at the encode point (never stored)
+ * or the decode point (stored, not decoded). Completion then folds the
+ * result into its stream's FrameTotals; the report's fleet-wide frame
+ * aggregates are the sum of those per-stream totals, so the two can
+ * never disagree.
+ *
  * A 1-stream fleet with deadlines disabled performs, frame for frame,
  * exactly the legacy VisionPipeline::processFrame sequence (the identity
  * test pins byte-equality of decoded frames and telemetry totals).
@@ -41,6 +48,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -127,11 +135,12 @@ struct FleetConfig {
     VisionStage::FrameSink frame_sink;
     /**
      * Invoked after a stream leaves the fleet — it completed its frame
-     * target, was removed and its in-flight frame finished, or was
-     * removed before ever being seeded. Called outside fleet locks from
-     * the retiring thread, and always *after* the stream's last frame
-     * has been fully accounted (journal + registry), so conservation
-     * checks from this hook are exact for the departed stream. The hook
+     * target, was removed and its in-flight frame finished, was removed
+     * before ever being seeded, or its scene source threw (counted as
+     * one error). Called outside fleet locks from the retiring thread,
+     * and always *after* the stream's last frame has been fully
+     * accounted (journal + registry), so conservation checks from this
+     * hook are exact for the departed stream. The hook
      * may call addStream() to replace the departed stream (soak churn
      * does); the fleet re-checks the shutdown condition after the hook
      * returns so a replacement is never strangled by queue closure.
@@ -219,7 +228,8 @@ class FleetServer
 
     /**
      * Create one more stream (thread-safe). Before run() it is seeded at
-     * start; during run() its first frame is submitted immediately.
+     * start; during run() its first frame is submitted immediately (a
+     * scene source that throws for it retires the stream with an error).
      * Throws if admission is refused (fleet drained, max_streams reached,
      * or the capacity model rejects the load).
      */
@@ -265,18 +275,33 @@ class FleetServer
     PipelineObs &obs() { return *obs_; }
 
   private:
+    /** Frame-outcome counters of one stream; fleet totals sum these. */
+    struct FrameTotals {
+        u64 frames = 0;    //!< completed frames, errored ones included
+        u64 ok_frames = 0; //!< completed frames without a stage error
+        u64 errors = 0;    //!< stage errors + scene-source failures
+        u64 deadline_misses = 0;
+        u64 quarantined = 0;
+        u64 shed = 0;
+        u64 transient_faults = 0;
+        u64 dma_retries = 0;
+        u64 dma_dropped_bursts = 0;
+        Bytes bytes_written = 0;
+        Bytes bytes_read = 0;
+        Bytes metadata_bytes = 0;
+        double kept_sum = 0.0;
+
+        /** Fold one frame that completed without a stage error. */
+        void add(const PipelineFrameResult &r);
+        FrameTotals &operator+=(const FrameTotals &o);
+    };
+
     struct StreamEntry {
         std::unique_ptr<StreamContext> ctx; //!< released at retirement
         std::string label; //!< outlives ctx for reports after retirement
         u64 target = 0;
-        u64 done = 0;
-        u64 deadline_misses = 0;
-        u64 quarantined = 0;
-        u64 shed = 0;
-        u64 errors = 0;
-        u64 dma_retries = 0;
-        u64 dma_dropped_bursts = 0;
-        int degradation_level = 0;
+        FrameTotals totals;
+        int degradation_level = 0; //!< ladder level after the last frame
         bool active = true;    //!< still scheduled for more frames
         bool seeded = false;   //!< first frame has entered the graph
         bool finished = false; //!< left the fleet (completed or removed)
@@ -295,20 +320,22 @@ class FleetServer
     u32 addStreamLocked();
     /** Admission verdict for one more stream; caller holds mutex_. */
     guard::AdmissionResult admitLocked() const;
-    void seedStream(StreamEntry &entry, u32 id);
+    /** Mark a stream's next frame in flight; caller holds mutex_. */
+    static void beginFrameLocked(StreamEntry &entry);
     FrameTask makeTask(StreamEntry &entry, u32 id, u64 frame);
+    /**
+     * Build frame `frame` of a stream and submit it, or — when the scene
+     * source throws — retire the stream with one more error. The one
+     * path for first frames and resubmits; called without mutex_ held,
+     * after beginFrameLocked().
+     */
+    void submitOrRetire(StreamEntry &entry, u32 id, u64 frame);
     void finishFrame(FrameTask &task, bool errored);
     /**
-     * Account a frame the guard decided not to decode: serve the
-     * hold-last-good image, record telemetry/energy/obs with the traffic
-     * the frame actually generated (write-side only when it reached the
-     * store, nothing otherwise), and feed the degradation ladder. The
-     * caller then routes the task through finishFrame as a normal
-     * completion — shed is first-class, not an error.
-     * @param stored true when the frame passed the store stage (decode-
-     *               point shed); false at the encode-point shed.
+     * Run the stream_retired hook outside mutex_, then close the capture
+     * queue if `close` (the fleet emptied) still holds afterwards.
      */
-    void shedFrame(FrameTask &task, bool stored);
+    void announceRetired(const FleetStreamReport &report, bool close);
     /** True when the shedder should drop this task before its lease. */
     bool pastShedDeadline(const FrameTask &task) const;
     void watchdogLoop();
@@ -322,6 +349,13 @@ class FleetServer
     void storeLoop();
     void decodeLoop();
 
+    /**
+     * A stage worker's next task; nullopt once `queue` is closed and
+     * drained. Under a watchdog the pop polls and bumps `beat` on every
+     * pass; otherwise it blocks.
+     */
+    template <typename Queue>
+    std::optional<FrameTask> nextTask(Queue &queue, std::atomic<u64> &beat);
     template <typename Stage>
     bool runStage(const Stage &stage, FrameTask &task);
 
@@ -342,33 +376,22 @@ class FleetServer
     DecodeStage decode_;
     VisionStage vision_;
 
-    mutable std::mutex mutex_; //!< streams map + aggregate accounting
+    mutable std::mutex mutex_; //!< streams map (with totals) + guard counters
+    /** Every stream ever added; retired entries stay for the report. */
     std::map<u32, StreamEntry> streams_;
     u32 next_id_ = 0;
     u32 live_ = 0;        //!< unfinished streams
     bool running_ = false;
     bool ran_ = false;
 
-    // Aggregates (guarded by mutex_ except the thread-safe histogram).
-    u64 frames_done_ = 0;
-    u64 errors_ = 0;
-    u64 deadline_misses_ = 0;
-    u64 quarantined_ = 0;
-    u64 shed_frames_ = 0;
-    u64 transient_faults_ = 0;
-    u64 dma_retries_ = 0;
-    u64 dma_dropped_bursts_ = 0;
+    // Guard counters that belong to no single frame (guarded by mutex_).
     u64 admission_rejects_ = 0;
     u64 watchdog_warns_ = 0;
     u64 watchdog_quarantines_ = 0;
     u64 watchdog_evictions_ = 0;
-    Bytes bytes_written_ = 0;
-    Bytes bytes_read_ = 0;
-    Bytes metadata_bytes_ = 0;
-    double kept_sum_ = 0.0;
     /** EWMA of measured encode engine-hold µs (admission cost model). */
     double encode_hold_ewma_us_ = 0.0;
-    obs::Histogram latency_;
+    obs::Histogram latency_; //!< thread-safe; not under mutex_
 
     // Store-worker batching stats (single-threaded writer).
     u64 store_batches_ = 0;

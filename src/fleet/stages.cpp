@@ -25,6 +25,240 @@ obsOf(const StreamContext &s)
     return po ? po->context() : nullptr;
 }
 
+/**
+ * What a frame that was not freshly decoded delivers: the stream's last
+ * good image, or black before any good frame exists.
+ */
+Image
+heldFrame(StreamContext &s)
+{
+    const PipelineConfig &cfg = s.config();
+    return s.haveLastGood()
+               ? s.lastGood()
+               : Image(cfg.width, cfg.height, PixelFormat::Gray8, 0);
+}
+
+/**
+ * The one frame-outcome path. Two facts about the frame — `stored` (it
+ * reached the frame store) and `decoded` (it was decoded; implies
+ * stored) — fix everything accounted for it: result flags, the ladder
+ * feed, traffic, energy, pipeline.* counters, the telemetry record and
+ * the frame span.
+ *
+ *   stored decoded | written  read     metadata  DRAM nJ per kept pixel
+ *     1      1     | payload  payload  2 x meta  (2 ddr + write + read)
+ *     1      0     | payload  0        1 x meta  (ddr + write)
+ *     0      0     | 0        0        0         (no kept pixels)
+ *
+ * Sensing and CSI energy scale with the dense pixels captured, so every
+ * frame pays them. Only a decoded frame draws the injected Deadline
+ * fault and checks its deadline; a shed frame (not decoded) feeds the
+ * ladder a miss — the stream is not keeping up — but leaves
+ * result.deadline_missed false: misses count frames that ran to
+ * completion late, and shed is its own outcome.
+ */
+void
+accountFrame(FrameTask &task, bool stored, bool decoded)
+{
+    StreamContext &s = *task.stream;
+    const PipelineConfig &cfg = s.config();
+    PipelineObs *po = s.sharedObs();
+    obs::ObsContext *ctx = obsOf(s);
+    const bool tele = s.telemetry() != nullptr;
+    const FrameIndex t = task.index;
+    PipelineFrameResult &result = task.result;
+
+    result.kept_fraction = decoded ? task.kept : 0.0;
+    result.index = t;
+
+    // Frame health drives the degradation ladder: a deadline miss is a
+    // real wall-clock overrun (per-pipeline deadline_ms or the fleet's
+    // EDF frame deadline) or an injected scheduling fault.
+    result.csi_dropped_lines = task.csi_status.dropped_lines;
+    result.dma_retries = task.store_report.dma_retries;
+    result.dma_dropped_bursts = task.store_report.dma_dropped_bursts;
+    result.transient_faults =
+        task.store_report.dma_retries +
+        task.store_report.dma_dropped_bursts +
+        (task.csi_status.corrupted_bytes > 0 ? 1 : 0) +
+        (task.csi_status.dropped_lines > 0 ? 1 : 0);
+    if (decoded) {
+        const auto now = std::chrono::steady_clock::now();
+        fault::FaultInjector *injector = s.injector();
+        if (injector && injector->dropEvent(fault::Stage::Deadline))
+            result.deadline_missed = true;
+        if (cfg.fault.deadline_ms > 0.0 &&
+            std::chrono::duration<double, std::milli>(now - task.start)
+                    .count() > cfg.fault.deadline_ms)
+            result.deadline_missed = true;
+        if (task.has_deadline && now > task.deadline)
+            result.deadline_missed = true;
+    }
+    if (fault::DegradationController *degrade = s.degradation()) {
+        fault::FrameHealth health;
+        health.deadline_missed = result.deadline_missed || !decoded;
+        health.decode_quarantined = result.quarantined;
+        health.transient_faults =
+            static_cast<u32>(result.transient_faults);
+        degrade->onFrame(health);
+        result.degradation_level = degrade->level();
+    }
+
+    // Traffic: the encoder wrote payload+metadata when the frame was
+    // stored; the decoder read the frame back (only encoded pixels plus
+    // the metadata working set) when it was decoded.
+    const Bytes payload = stored ? task.pixel_bytes : 0;
+    result.traffic.bytes_written = payload;
+    result.traffic.bytes_read = decoded ? task.pixel_bytes : 0;
+    result.traffic.metadata_bytes =
+        (Bytes{stored} + Bytes{decoded}) * task.metadata_bytes;
+    result.traffic.footprint = s.store().totalFootprint();
+    s.traffic().add(result.traffic);
+
+    // Energy attribution (first-order model, Appendix A.2). Each per-pixel
+    // DRAM constant stays one expression so its rounding never changes.
+    // Computed only when someone is listening, so the bare pipeline stays
+    // at seed cost.
+    const u64 kept_pixels = static_cast<u64>(payload); // 1 B per pixel
+    const EnergyConstants ec;
+    const double dram_nj_per_px =
+        decoded ? (2.0 * ec.ddr_comm_crossing_pj + ec.dram_write_pj +
+                   ec.dram_read_pj) /
+                      1e3
+                : (ec.ddr_comm_crossing_pj + ec.dram_write_pj) / 1e3;
+    double e_sense_nj = 0.0, e_csi_nj = 0.0, e_dram_nj = 0.0;
+    if (tele || (po && po->attached())) {
+        e_sense_nj =
+            ec.sense_pj * static_cast<double>(task.pixels_in) / 1e3;
+        e_csi_nj = ec.csi_pj * static_cast<double>(task.pixels_in) / 1e3;
+        e_dram_nj = dram_nj_per_px * static_cast<double>(kept_pixels);
+        if (po)
+            po->addEnergy(e_sense_nj, e_csi_nj, e_dram_nj);
+    }
+
+    if (po && po->attached()) {
+        po->frames->inc();
+        po->bytes_written->add(result.traffic.bytes_written);
+        po->bytes_read->add(result.traffic.bytes_read);
+        po->metadata_bytes->add(result.traffic.metadata_bytes);
+        if (!decoded)
+            po->shed_frames->inc();
+        if (result.quarantined)
+            po->quarantined->inc();
+        if (result.deadline_missed)
+            po->deadline_misses->inc();
+        po->transient_faults->add(result.transient_faults);
+        po->dma_retries->add(result.dma_retries);
+        po->dma_dropped_bursts->add(result.dma_dropped_bursts);
+        po->kept_fraction->set(result.kept_fraction);
+        po->footprint->set(
+            static_cast<double>(result.traffic.footprint));
+    }
+
+    if (obs::TelemetrySink *sink = s.telemetry()) {
+        obs::FrameTelemetry ft;
+        ft.index = static_cast<u64>(t);
+        ft.stream = cfg.stream_label;
+        ft.sensor_us = task.lat_sensor;
+        ft.isp_us = task.lat_isp;
+        ft.encode_us = task.lat_encode;
+        ft.dram_write_us = task.lat_dram_write;
+        ft.decode_us = task.lat_decode;
+        ft.total_us = std::chrono::duration<double, std::micro>(
+                          std::chrono::steady_clock::now() - task.start)
+                          .count();
+
+        ft.pixels_in = task.pixels_in;
+        ft.pixels_kept = kept_pixels;
+        ft.bytes_written = result.traffic.bytes_written;
+        ft.bytes_read = result.traffic.bytes_read;
+        ft.metadata_bytes = result.traffic.metadata_bytes;
+
+        const DramStats &ds = s.dram().stats();
+        ft.dram_write_transactions =
+            ds.write_transactions - task.dram_before.write_transactions;
+        ft.dram_read_transactions =
+            ds.read_transactions - task.dram_before.read_transactions;
+        ft.dram_bytes_written =
+            ds.bytes_written - task.dram_before.bytes_written;
+        ft.dram_bytes_read = ds.bytes_read - task.dram_before.bytes_read;
+
+        const EncoderStats &es = s.encoder().stats();
+        ft.compare_cycles =
+            es.compare_cycles - task.enc_before.compare_cycles;
+        ft.stream_cycles =
+            es.stream_cycles - task.enc_before.stream_cycles;
+        ft.region_comparisons =
+            es.region_comparisons - task.enc_before.region_comparisons;
+
+        ft.quarantined = result.quarantined;
+        ft.held_last_good = result.held_last_good;
+        ft.deadline_missed = result.deadline_missed;
+        ft.shed = result.shed;
+        ft.csi_dropped_lines = result.csi_dropped_lines;
+        ft.transient_faults = result.transient_faults;
+        ft.dma_retries = result.dma_retries;
+        ft.dma_dropped_bursts = result.dma_dropped_bursts;
+        ft.degradation_level = result.degradation_level;
+
+        ft.energy_sense_nj = e_sense_nj;
+        ft.energy_csi_nj = e_csi_nj;
+        ft.energy_dram_nj = e_dram_nj;
+        ft.energy_total_nj = e_sense_nj + e_csi_nj + e_dram_nj;
+
+        // Per-region attribution exists once the frame was stored: the
+        // encoder's label list for this frame (post-degradation; one
+        // in-flight frame per stream) with the work its attribution pass
+        // claimed. DRAM-path energy splits across regions by kept pixels
+        // with the frame's own per-pixel constant, so the region energies
+        // sum to the frame's energy_dram_nj.
+        if (stored) {
+            const std::vector<RegionLabel> &labels =
+                s.encoder().regionLabels();
+            const RegionAttribution &attr =
+                s.encoder().lastFrameAttribution();
+            ft.regions.reserve(labels.size());
+            for (size_t i = 0; i < labels.size(); ++i) {
+                const RegionLabel &l = labels[i];
+                obs::RegionTelemetry rt;
+                rt.x = l.x;
+                rt.y = l.y;
+                rt.w = l.w;
+                rt.h = l.h;
+                rt.stride = l.stride;
+                rt.skip = l.skip;
+                rt.active = l.activeAt(t);
+                if (i < attr.kept.size()) {
+                    rt.pixels_kept = attr.kept[i];
+                    rt.comparisons = attr.comparisons[i];
+                }
+                rt.payload_bytes = rt.pixels_kept; // Gray8: 1 B per pixel
+                rt.energy_nj =
+                    dram_nj_per_px * static_cast<double>(rt.pixels_kept);
+                ft.regions.push_back(std::move(rt));
+            }
+        }
+        sink->record(ft);
+    }
+
+    // Frame-latency accounting: the legacy frame span, recorded manually
+    // because the frame no longer lives inside one scope.
+    double frame_us;
+    if (ctx && ctx->trace()) {
+        obs::TraceRecorder *tr = ctx->trace();
+        frame_us = tr->nowUs() - task.trace_start_us;
+        tr->record({"frame", "pipeline", task.trace_start_us, frame_us,
+                    static_cast<u32>(obs::TraceLane::Pipeline),
+                    static_cast<i64>(t)});
+    } else {
+        frame_us = std::chrono::duration<double, std::micro>(
+                       std::chrono::steady_clock::now() - task.start)
+                       .count();
+    }
+    if (po && po->h_frame)
+        po->h_frame->record(frame_us);
+}
+
 } // namespace
 
 void
@@ -119,6 +353,7 @@ CaptureStage::run(FrameTask &task) const
                      : s.csi().transferFrame(
                            static_cast<u64>(task.gray.pixelCount()));
     }
+    task.pixels_in = static_cast<u64>(task.gray.pixelCount());
     // The raw scene is not needed past this point; dropping it here keeps
     // a fleet's in-flight memory bounded by gray frames, not RGB scenes.
     task.scene = Image();
@@ -144,7 +379,6 @@ EncodeStage::run(FrameTask &task) const
     task.kept = task.encoded.keptFraction();
     task.pixel_bytes = task.encoded.pixelBytes();
     task.metadata_bytes = task.encoded.metadataBytes();
-    task.pixels_in = static_cast<u64>(task.gray.pixelCount());
     // The dense frame is consumed; only the packed payload travels on.
     task.gray = Image();
 }
@@ -171,9 +405,6 @@ DecodeStage::run(FrameTask &task) const
     StreamContext &s = *task.stream;
     const PipelineConfig &cfg = s.config();
     PipelineObs *po = s.sharedObs();
-    obs::ObsContext *ctx = obsOf(s);
-    const bool tele = s.telemetry() != nullptr;
-    const FrameIndex t = task.index;
     PipelineFrameResult &result = task.result;
 
     // 4. Decode the full frame for the application (software decoder fast
@@ -185,20 +416,17 @@ DecodeStage::run(FrameTask &task) const
     for (size_t k = 1; k < s.store().size(); ++k)
         history.push_back(s.store().recent(k));
     {
-        obs::ScopedStageTimer span(ctx, po ? po->h_decode : nullptr,
-                                   "decode", "pipeline",
-                                   obs::TraceLane::Decoder, t,
-                                   tele ? &task.lat_decode : nullptr);
+        obs::ScopedStageTimer span(
+            obsOf(s), po ? po->h_decode : nullptr, "decode", "pipeline",
+            obs::TraceLane::Decoder, task.index,
+            s.telemetry() ? &task.lat_decode : nullptr);
         if (cfg.fault.graceful) {
             SwDecodeStatus st = s.swDecoder().tryDecode(
                 *s.store().recent(0), history, result.decoded);
             if (st.quarantined) {
                 result.quarantined = true;
                 result.held_last_good = true;
-                result.decoded = s.haveLastGood()
-                                     ? s.lastGood()
-                                     : Image(cfg.width, cfg.height,
-                                             PixelFormat::Gray8, 0);
+                result.decoded = heldFrame(s);
             } else {
                 s.setLastGood(result.decoded);
             }
@@ -207,194 +435,23 @@ DecodeStage::run(FrameTask &task) const
                 s.swDecoder().decode(*s.store().recent(0), history);
         }
     }
-    result.kept_fraction = task.kept;
-    result.index = t;
+    accountFrame(task, /*stored=*/true, /*decoded=*/true);
+}
 
-    // 4b. Frame health drives the degradation ladder: a deadline miss is
-    //     a real wall-clock overrun (per-pipeline deadline_ms or the
-    //     fleet's EDF frame deadline) or an injected scheduling fault.
-    result.csi_dropped_lines = task.csi_status.dropped_lines;
-    result.dma_retries = task.store_report.dma_retries;
-    result.dma_dropped_bursts = task.store_report.dma_dropped_bursts;
-    result.transient_faults =
-        task.store_report.dma_retries +
-        task.store_report.dma_dropped_bursts +
-        (task.csi_status.corrupted_bytes > 0 ? 1 : 0) +
-        (task.csi_status.dropped_lines > 0 ? 1 : 0);
-    fault::FaultInjector *injector = s.injector();
-    if (injector && injector->dropEvent(fault::Stage::Deadline))
-        result.deadline_missed = true;
-    if (cfg.fault.deadline_ms > 0.0) {
-        const double elapsed_ms =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - task.start)
-                .count();
-        if (elapsed_ms > cfg.fault.deadline_ms)
-            result.deadline_missed = true;
-    }
-    if (task.has_deadline &&
-        std::chrono::steady_clock::now() > task.deadline)
-        result.deadline_missed = true;
-    fault::DegradationController *degrade = s.degradation();
-    if (degrade) {
-        fault::FrameHealth health;
-        health.deadline_missed = result.deadline_missed;
-        health.decode_quarantined = result.quarantined;
-        health.transient_faults =
-            static_cast<u32>(result.transient_faults);
-        degrade->onFrame(health);
-        result.degradation_level = degrade->level();
-    }
-
-    // 5. Traffic: the encoder wrote payload+metadata; the app read the
-    //    frame back through the decoder (which fetches only encoded pixels
-    //    plus the metadata working set).
-    result.traffic.bytes_written = task.pixel_bytes;
-    result.traffic.bytes_read = task.pixel_bytes;
-    result.traffic.metadata_bytes = 2 * task.metadata_bytes; // write+read
-    result.traffic.footprint = s.store().totalFootprint();
-    s.traffic().add(result.traffic);
-
-    // 6. Energy attribution (first-order model, Appendix A.2): sensing and
-    //    CSI scale with dense pixels in; everything DRAM-side scales with
-    //    kept pixels (write+read DDR crossings plus the array accesses).
-    //    Computed only when someone is listening, so the bare pipeline
-    //    stays at seed cost.
-    const u64 pixels_in = task.pixels_in;
-    const u64 kept_pixels =
-        static_cast<u64>(task.pixel_bytes); // 1 B per pixel
-    double e_sense_nj = 0.0, e_csi_nj = 0.0, e_dram_nj = 0.0;
-    if (tele || (po && po->attached())) {
-        const EnergyConstants ec;
-        e_sense_nj = ec.sense_pj * static_cast<double>(pixels_in) / 1e3;
-        e_csi_nj = ec.csi_pj * static_cast<double>(pixels_in) / 1e3;
-        const double dram_nj_per_px =
-            (2.0 * ec.ddr_comm_crossing_pj + ec.dram_write_pj +
-             ec.dram_read_pj) /
-            1e3;
-        e_dram_nj = dram_nj_per_px * static_cast<double>(kept_pixels);
-        if (po)
-            po->addEnergy(e_sense_nj, e_csi_nj, e_dram_nj);
-    }
-
-    if (po && po->attached()) {
-        po->frames->inc();
-        po->bytes_written->add(result.traffic.bytes_written);
-        po->bytes_read->add(result.traffic.bytes_read);
-        po->metadata_bytes->add(result.traffic.metadata_bytes);
-        if (result.quarantined)
-            po->quarantined->inc();
-        if (result.deadline_missed)
-            po->deadline_misses->inc();
-        po->transient_faults->add(result.transient_faults);
-        po->dma_retries->add(result.dma_retries);
-        po->dma_dropped_bursts->add(result.dma_dropped_bursts);
-        po->kept_fraction->set(task.kept);
-        po->footprint->set(
-            static_cast<double>(result.traffic.footprint));
-    }
-
-    if (obs::TelemetrySink *sink = s.telemetry()) {
-        obs::FrameTelemetry ft;
-        ft.index = static_cast<u64>(t);
-        ft.stream = cfg.stream_label;
-        ft.sensor_us = task.lat_sensor;
-        ft.isp_us = task.lat_isp;
-        ft.encode_us = task.lat_encode;
-        ft.dram_write_us = task.lat_dram_write;
-        ft.decode_us = task.lat_decode;
-        ft.total_us = std::chrono::duration<double, std::micro>(
-                          std::chrono::steady_clock::now() - task.start)
-                          .count();
-
-        ft.pixels_in = pixels_in;
-        ft.pixels_kept = kept_pixels;
-        ft.bytes_written = result.traffic.bytes_written;
-        ft.bytes_read = result.traffic.bytes_read;
-        ft.metadata_bytes = result.traffic.metadata_bytes;
-
-        const DramStats &ds = s.dram().stats();
-        ft.dram_write_transactions =
-            ds.write_transactions - task.dram_before.write_transactions;
-        ft.dram_read_transactions =
-            ds.read_transactions - task.dram_before.read_transactions;
-        ft.dram_bytes_written =
-            ds.bytes_written - task.dram_before.bytes_written;
-        ft.dram_bytes_read = ds.bytes_read - task.dram_before.bytes_read;
-
-        const EncoderStats &es = s.encoder().stats();
-        ft.compare_cycles =
-            es.compare_cycles - task.enc_before.compare_cycles;
-        ft.stream_cycles =
-            es.stream_cycles - task.enc_before.stream_cycles;
-        ft.region_comparisons =
-            es.region_comparisons - task.enc_before.region_comparisons;
-
-        ft.quarantined = result.quarantined;
-        ft.held_last_good = result.held_last_good;
-        ft.deadline_missed = result.deadline_missed;
-        ft.csi_dropped_lines = result.csi_dropped_lines;
-        ft.transient_faults = result.transient_faults;
-        ft.dma_retries = result.dma_retries;
-        ft.dma_dropped_bursts = result.dma_dropped_bursts;
-        ft.degradation_level = result.degradation_level;
-
-        ft.energy_sense_nj = e_sense_nj;
-        ft.energy_csi_nj = e_csi_nj;
-        ft.energy_dram_nj = e_dram_nj;
-        ft.energy_total_nj = e_sense_nj + e_csi_nj + e_dram_nj;
-
-        // Per-region attribution: the encoder's label list for this frame
-        // (post-degradation) with the work its attribution pass claimed.
-        // DRAM-path energy splits across regions by kept pixels, so the
-        // region energies sum exactly to the frame's energy_dram_nj.
-        const EnergyConstants ec;
-        const double dram_nj_per_px =
-            (2.0 * ec.ddr_comm_crossing_pj + ec.dram_write_pj +
-             ec.dram_read_pj) /
-            1e3;
-        const std::vector<RegionLabel> &labels =
-            s.encoder().regionLabels();
-        const RegionAttribution &attr = s.encoder().lastFrameAttribution();
-        ft.regions.reserve(labels.size());
-        for (size_t i = 0; i < labels.size(); ++i) {
-            const RegionLabel &l = labels[i];
-            obs::RegionTelemetry rt;
-            rt.x = l.x;
-            rt.y = l.y;
-            rt.w = l.w;
-            rt.h = l.h;
-            rt.stride = l.stride;
-            rt.skip = l.skip;
-            rt.active = l.activeAt(t);
-            if (i < attr.kept.size()) {
-                rt.pixels_kept = attr.kept[i];
-                rt.comparisons = attr.comparisons[i];
-            }
-            rt.payload_bytes = rt.pixels_kept; // Gray8: 1 byte per pixel
-            rt.energy_nj =
-                dram_nj_per_px * static_cast<double>(rt.pixels_kept);
-            ft.regions.push_back(std::move(rt));
-        }
-        sink->record(ft);
-    }
-
-    // Frame-latency accounting: the legacy frame span, recorded manually
-    // because the frame no longer lives inside one scope.
-    double frame_us;
-    if (ctx && ctx->trace()) {
-        obs::TraceRecorder *tr = ctx->trace();
-        frame_us = tr->nowUs() - task.trace_start_us;
-        tr->record({"frame", "pipeline", task.trace_start_us, frame_us,
-                    static_cast<u32>(obs::TraceLane::Pipeline),
-                    static_cast<i64>(t)});
-    } else {
-        frame_us = std::chrono::duration<double, std::micro>(
-                       std::chrono::steady_clock::now() - task.start)
-                       .count();
-    }
-    if (po && po->h_frame)
-        po->h_frame->record(frame_us);
+void
+shedFrame(FrameTask &task, bool stored)
+{
+    // The result still carries a frame — the hold-last-good image the
+    // decoder's quarantine verdicts serve — so a shed is a freshness loss
+    // in the accounting, not a hole. (The vision sink itself only sees
+    // decoded frames; shed is its own first-class outcome.)
+    task.result.held_last_good = true;
+    task.result.shed = true;
+    task.result.decoded = heldFrame(*task.stream);
+    // Drop the payloads a decoded frame would have consumed.
+    task.gray = Image();
+    task.encoded = EncodedFrame();
+    accountFrame(task, stored, /*decoded=*/false);
 }
 
 void

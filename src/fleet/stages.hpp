@@ -15,9 +15,20 @@
  *              framebuffer ring shard (batched across streams by the
  *              fleet's store worker);
  *   Decode   — whole-frame software decode (strict or corruption-safe),
- *              frame-health ladder update, traffic/energy/obs/telemetry
- *              attribution, deadline verdict;
+ *              then the frame's outcome accounting;
  *   Vision   — optional per-frame application hook (frame sink).
+ *
+ * Every frame leaves the graph through one outcome path, fixed by two
+ * facts: was it stored, and was it decoded. A decoded frame is (stored,
+ * decoded); the fleet guard's shedFrame() ends a frame early as
+ * (stored, not decoded) after the store stage or (not stored, not
+ * decoded) before the encode lease. Those two booleans alone set the
+ * result flags, the degradation-ladder feed, the traffic
+ * (written = stored x payload, read = decoded x payload, metadata =
+ * (stored + decoded) x metadata), the DRAM energy per kept pixel
+ * (write-only when just stored, write+read when decoded; sensing and
+ * CSI always), the pipeline.* counters, the telemetry record (per-region
+ * entries only when stored) and the frame span.
  *
  * Stages are stateless and const: every mutable datum lives in the
  * StreamContext (per-stream state) or the FrameTask (per-frame state), so
@@ -61,7 +72,7 @@ struct FrameTask {
     double kept = 0.0;
     Bytes pixel_bytes = 0;
     Bytes metadata_bytes = 0;
-    u64 pixels_in = 0;
+    u64 pixels_in = 0; //!< dense pixels captured (set by capture)
 
     // Timing. `start` anchors the frame's wall-clock latency; the fleet
     // sets `deadline` (EDF) while the facade leaves it unset.
@@ -109,14 +120,27 @@ class StoreStage
 };
 
 /**
- * Decode + frame finish: whole-frame decode, health/degradation, traffic,
- * energy, obs counters, telemetry record, frame-latency accounting.
+ * Decode + frame finish: whole-frame decode, then the outcome accounting
+ * of a stored, decoded frame (health/degradation, traffic, energy, obs
+ * counters, telemetry record, frame latency).
  */
 class DecodeStage
 {
   public:
     void run(FrameTask &task) const;
 };
+
+/**
+ * End a frame without decoding it (the fleet guard's load shedding):
+ * serve the hold-last-good image, mark the result shed, release the
+ * payloads, and account the frame on the shared outcome path with the
+ * traffic it actually generated. Shed is first-class — the frame is
+ * accounted once, never as a deadline miss, and the vision sink does not
+ * see it.
+ * @param stored true when the frame passed the store stage (decode-point
+ *               shed); false at the encode-point shed.
+ */
+void shedFrame(FrameTask &task, bool stored);
 
 /**
  * Vision: the application end of the graph. Holds an optional frame sink

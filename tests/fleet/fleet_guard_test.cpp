@@ -2,8 +2,9 @@
  * @file
  * Integration tests for the fleet overload-protection layer: capacity-model
  * admission (reject-with-reason, re-admission after load drops), hard-cap
- * rejection under saturation churn, deadline-aware shedding conservation,
- * and watchdog eviction of a chaos-wedged worker (no hang).
+ * rejection under saturation churn, deadline-aware shedding conservation
+ * at both shed points, and watchdog eviction of a chaos-wedged worker (no
+ * hang).
  */
 
 #include <gtest/gtest.h>
@@ -205,6 +206,82 @@ TEST(FleetGuard, ShedAllFramesKeepsAccountingExact)
         per_stream_shed += s.shed;
     }
     EXPECT_EQ(per_stream_shed, rep.shed_frames);
+}
+
+/**
+ * Decode-point shedding: every encode lease is slowed by four frame
+ * periods, so a frame that passes the encode-point check is past its
+ * deadline by the time it is stored and is shed before the decode lease.
+ * Frames that fall behind meanwhile are shed at the encode point. Each
+ * journal record must be one of the two shed kinds — unstored (no bytes,
+ * no regions) or stored (payload written once, metadata written once,
+ * nothing read back, region energies summing to the frame's DRAM
+ * energy) — and shed counts agree across registry, report and journal.
+ */
+TEST(FleetGuard, DecodePointShedAccountsWriteSideOnly)
+{
+    constexpr u32 kStreams = 2;
+    constexpr u32 kFrames = 4;
+    // Dense 2-bit/px mask plus one u32 row offset per row (96x64 frame).
+    constexpr Bytes kMetadataBytes = 96 * 64 / 4 + 64 * sizeof(u32);
+    obs::ObsContext obs;
+    obs::TelemetrySink sink;
+    FleetConfig fc = guardFleet(kStreams, kFrames);
+    fc.stream.obs = &obs;
+    fc.stream.telemetry = &sink;
+    fc.stream.fps = 20.0;
+    fc.use_deadlines = true;
+    fc.guard.shed.enabled = true;
+    fc.guard.shed.slack_ms = 0.0;
+    fc.chaos.enabled = true;
+    fc.chaos.seed = 11;
+    fc.chaos.slow_lease_rate = 1.0;
+    fc.chaos.slow_lease_us = 200'000;
+
+    FleetServer server(fc);
+    const FleetReport rep = server.run();
+    ASSERT_EQ(rep.frames, u64{kStreams} * kFrames);
+    EXPECT_EQ(rep.errors, 0u);
+    EXPECT_EQ(rep.deadline_misses, 0u);
+    // No frame can outrun a four-period lease delay.
+    EXPECT_EQ(rep.shed_frames, rep.frames);
+
+    const std::vector<obs::FrameTelemetry> journal = sink.frames();
+    ASSERT_EQ(journal.size(), rep.frames);
+    u64 shed = 0, stored = 0;
+    for (const obs::FrameTelemetry &ft : journal) {
+        if (!ft.shed)
+            continue;
+        ++shed;
+        EXPECT_EQ(ft.bytes_read, 0u) << ft.stream << "/" << ft.index;
+        EXPECT_TRUE(ft.held_last_good);
+        EXPECT_FALSE(ft.deadline_missed);
+        if (ft.bytes_written == 0) {
+            EXPECT_EQ(ft.metadata_bytes, 0u);
+            EXPECT_EQ(ft.pixels_kept, 0u);
+            EXPECT_TRUE(ft.regions.empty());
+            EXPECT_EQ(ft.energy_dram_nj, 0.0);
+            continue;
+        }
+        ++stored;
+        EXPECT_EQ(ft.bytes_written, ft.pixels_kept);
+        EXPECT_EQ(ft.metadata_bytes, kMetadataBytes);
+        Bytes payload = 0;
+        double region_energy_nj = 0.0;
+        for (const obs::RegionTelemetry &rt : ft.regions) {
+            payload += rt.payload_bytes;
+            region_energy_nj += rt.energy_nj;
+        }
+        EXPECT_EQ(payload, ft.bytes_written);
+        EXPECT_GT(ft.energy_dram_nj, 0.0);
+        EXPECT_NEAR(region_energy_nj, ft.energy_dram_nj,
+                    1e-6 * (1.0 + ft.energy_dram_nj));
+    }
+    EXPECT_GE(stored, 1u);
+    EXPECT_EQ(shed, rep.shed_frames);
+    EXPECT_EQ(sink.totals().shed_frames, rep.shed_frames);
+    EXPECT_EQ(obs.registry().counter("pipeline.shed_frames").value(),
+              rep.shed_frames);
 }
 
 /**

@@ -2,16 +2,22 @@
  * @file
  * Integration tests for the multi-stream fleet server: byte-identity of a
  * 1-stream fleet against the legacy pipeline, engine-pool starvation,
- * all-streams-miss deadline escalation, stream join/leave mid-run, and
- * per-stream telemetry conservation against the shared registry.
+ * all-streams-miss deadline escalation, stream join/leave mid-run,
+ * scene-source failures (no hang, exact error accounting), and per-stream
+ * telemetry conservation against the shared registry.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <numeric>
+#include <optional>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -468,6 +474,130 @@ INSTANTIATE_TEST_SUITE_P(SerialAndParallel, FleetConservation,
                          [](const auto &info) {
                              return info.param ? "Parallel" : "Serial";
                          });
+
+/**
+ * Run `server` on a helper thread and wait at most `limit` for it. A run
+ * that never returns yields nullopt; its thread is detached and keeps the
+ * server alive, so a hang fails one test instead of stalling the suite.
+ */
+std::optional<FleetReport>
+runWithin(std::shared_ptr<FleetServer> server, std::chrono::seconds limit)
+{
+    auto done = std::make_shared<std::promise<FleetReport>>();
+    std::future<FleetReport> report = done->get_future();
+    std::thread([server, done] {
+        try {
+            done->set_value(server->run());
+        } catch (...) {
+            done->set_exception(std::current_exception());
+        }
+    }).detach();
+    if (report.wait_for(limit) != std::future_status::ready)
+        return std::nullopt;
+    return report.get();
+}
+
+/** Scene source that throws for one (stream, frame) and is sceneFor else. */
+std::function<Image(u32, u64)>
+failingScene(u32 bad_stream, u64 bad_frame)
+{
+    return [=](u32 id, u64 frame) {
+        if (id == bad_stream && frame == bad_frame)
+            throw std::runtime_error("scene source failed");
+        return sceneFor(id, frame);
+    };
+}
+
+/**
+ * A scene source that throws on a stream's first frame — seeded at run()
+ * start — retires that stream with one error instead of hanging the
+ * fleet. The retire hook runs outside fleet locks (it may call back in).
+ */
+TEST(Fleet, FirstFrameSceneFailureAtStartRetiresStream)
+{
+    FleetConfig fc = smallFleet(2, 3);
+    fc.scene_source = failingScene(1, 0);
+    auto retired = std::make_shared<std::atomic<u32>>(0);
+    auto server_slot = std::make_shared<FleetServer *>(nullptr);
+    fc.stream_retired = [retired, server_slot](const FleetStreamReport &) {
+        (void)(*server_slot)->activeStreams(); // takes the fleet lock
+        retired->fetch_add(1);
+    };
+    auto server = std::make_shared<FleetServer>(fc);
+    *server_slot = server.get();
+    const std::optional<FleetReport> rep =
+        runWithin(server, std::chrono::seconds(20));
+    ASSERT_TRUE(rep.has_value()) << "fleet run did not return";
+    EXPECT_EQ(rep->frames, 3u);
+    EXPECT_EQ(rep->errors, 1u);
+    EXPECT_EQ(rep->streams_completed, 1u);
+    EXPECT_EQ(retired->load(), 2u);
+    ASSERT_EQ(rep->streams.size(), 2u);
+    EXPECT_EQ(rep->streams[1].frames, 0u);
+    EXPECT_EQ(rep->streams[1].errors, 1u);
+    EXPECT_FALSE(rep->streams[1].completed);
+}
+
+/**
+ * The same failure on a stream joined mid-run: addStream returns, the new
+ * stream retires with one error, and the fleet still drains.
+ */
+TEST(Fleet, FirstFrameSceneFailureOnJoinRetiresStream)
+{
+    FleetConfig fc = smallFleet(1, 3);
+    fc.scene_source = failingScene(1, 0);
+    auto server_slot = std::make_shared<FleetServer *>(nullptr);
+    auto join_threw = std::make_shared<std::atomic<bool>>(false);
+    fc.frame_sink = [server_slot, join_threw](StreamContext &s,
+                                              const PipelineFrameResult &r) {
+        if (s.id() != 0 || r.index != 0)
+            return;
+        try {
+            (void)(*server_slot)->addStream();
+        } catch (const std::exception &) {
+            join_threw->store(true);
+        }
+    };
+    auto server = std::make_shared<FleetServer>(fc);
+    *server_slot = server.get();
+    const std::optional<FleetReport> rep =
+        runWithin(server, std::chrono::seconds(20));
+    ASSERT_TRUE(rep.has_value()) << "fleet run did not return";
+    EXPECT_FALSE(join_threw->load());
+    EXPECT_EQ(rep->streams_started, 2u);
+    EXPECT_EQ(rep->frames, 3u);
+    EXPECT_EQ(rep->errors, 1u);
+    ASSERT_EQ(rep->streams.size(), 2u);
+    EXPECT_EQ(rep->streams[1].frames, 0u);
+    EXPECT_EQ(rep->streams[1].errors, 1u);
+}
+
+/**
+ * kept_fraction_mean averages over frames that completed without an
+ * error. A scene failure at resubmit counts an error but no frame, so it
+ * must not shrink the denominator.
+ */
+TEST(Fleet, KeptFractionMeanDividesByNonErroredFrames)
+{
+    FleetConfig fc = smallFleet(2, 3);
+    fc.scene_source = failingScene(1, 1);
+    std::mutex mu;
+    std::vector<double> kept;
+    fc.frame_sink = [&](StreamContext &, const PipelineFrameResult &r) {
+        std::lock_guard<std::mutex> lock(mu);
+        kept.push_back(r.kept_fraction);
+    };
+    FleetServer server(fc);
+    const FleetReport rep = server.run();
+    // Stream 0: three frames. Stream 1: frame 0, then frame 1's scene fails.
+    EXPECT_EQ(rep.frames, 4u);
+    EXPECT_EQ(rep.errors, 1u);
+    ASSERT_EQ(kept.size(), 4u);
+    const double mean = std::accumulate(kept.begin(), kept.end(), 0.0) /
+                        static_cast<double>(kept.size());
+    EXPECT_GT(mean, 0.0);
+    EXPECT_DOUBLE_EQ(rep.kept_fraction_mean, mean);
+}
 
 TEST(Fleet, ReportJsonIsWellFormed)
 {
