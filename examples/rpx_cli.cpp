@@ -180,8 +180,8 @@ fleetCommand(const std::map<std::string, std::string> &flags,
         }
     }
     if (flags.count("watchdog-ms")) {
-        // One knob sets the whole escalation ladder: warn at N, force-
-        // quarantine at 2N, evict at 4N, scanning every N/4 ms.
+        // One knob sets the whole watchdog ladder: count a warning at N
+        // and a quarantine at 2N, evict at 4N, scanning every N/4 ms.
         const u32 n = static_cast<u32>(
             std::stoul(flags.at("watchdog-ms")));
         if (n < 1) {

@@ -6,6 +6,22 @@
 
 namespace rpx::fault {
 
+const char *
+healthStateName(HealthState state)
+{
+    switch (state) {
+    case HealthState::Healthy:
+        return "healthy";
+    case HealthState::Degraded:
+        return "degraded";
+    case HealthState::Quarantined:
+        return "quarantined";
+    case HealthState::Evicted:
+        return "evicted";
+    }
+    return "unknown";
+}
+
 DegradationController::DegradationController(const DegradationConfig &config)
     : config_(config)
 {
@@ -20,36 +36,41 @@ DegradationController::DegradationController(const DegradationConfig &config)
         throwInvalid("budget_scale_per_level must lie in (0, 1]");
     if (config.skip_boost_per_level < 0)
         throwInvalid("skip_boost_per_level must be >= 0");
+    if (config.quarantine_streak < 1)
+        throwInvalid("quarantine_streak must be >= 1");
+    if (config.recover_streak < 1)
+        throwInvalid("recover_streak must be >= 1");
 }
 
 void
 DegradationController::onFrame(const FrameHealth &health)
 {
+    // An errored frame produced no picture: it skips the ladder and
+    // reaches health as a decode quarantine.
+    const bool quarantined = health.decode_quarantined || health.errored;
+    if (!health.errored)
+        stepLevel(health);
+    stepHealth(quarantined, quarantined || health.deadline_missed ||
+                                health.shed || level_ > 0);
+}
+
+void
+DegradationController::stepLevel(const FrameHealth &health)
+{
+    const bool missed = health.deadline_missed || health.shed;
     ++stats_.frames;
     stats_.transient_faults += health.transient_faults;
-    hold_ = false;
-
-    if (health.decode_quarantined) {
+    hold_ = health.decode_quarantined;
+    if (hold_) {
         ++stats_.quarantines;
         ++stats_.held_frames;
-        hold_ = true;
-        if (obs_quarantines_) {
-            obs_quarantines_->inc();
-            obs_held_->inc();
-        }
     }
-    if (health.deadline_missed) {
+    if (missed)
         ++stats_.deadline_misses;
-        if (obs_misses_)
-            obs_misses_->inc();
-    }
 
-    const bool clean =
-        !health.deadline_missed && !health.decode_quarantined;
-    if (clean) {
+    if (!missed && !health.decode_quarantined) {
         miss_streak_ = 0;
-        ++clean_streak_;
-        if (clean_streak_ >= config_.recover_after_clean && level_ > 0) {
+        if (++clean_streak_ >= config_.recover_after_clean && level_ > 0) {
             --level_;
             ++stats_.recoveries;
             clean_streak_ = 0;
@@ -58,21 +79,64 @@ DegradationController::onFrame(const FrameHealth &health)
         }
     } else {
         clean_streak_ = 0;
-        if (health.deadline_missed) {
-            ++miss_streak_;
-            if (miss_streak_ >= config_.escalate_after_misses) {
-                miss_streak_ = 0;
-                if (level_ < config_.max_level) {
-                    ++level_;
-                    ++stats_.escalations;
-                    if (obs_escalations_)
-                        obs_escalations_->inc();
-                }
+        if (missed && ++miss_streak_ >= config_.escalate_after_misses) {
+            miss_streak_ = 0;
+            if (level_ < config_.max_level) {
+                ++level_;
+                ++stats_.escalations;
+                if (obs_escalations_)
+                    obs_escalations_->inc();
             }
         }
     }
     if (obs_level_)
         obs_level_->set(level_);
+}
+
+void
+DegradationController::stepHealth(bool quarantined, bool dirty)
+{
+    if (state_ == HealthState::Evicted)
+        return;
+    quarantine_run_ = quarantined ? quarantine_run_ + 1 : 0;
+    decoded_run_ = quarantined ? 0 : decoded_run_ + 1;
+    healthy_run_ = dirty ? 0 : healthy_run_ + 1;
+
+    const bool quarantine = quarantine_run_ >= config_.quarantine_streak;
+    switch (state_) {
+    case HealthState::Healthy:
+        if (quarantine)
+            moveTo(HealthState::Quarantined);
+        else if (dirty)
+            moveTo(HealthState::Degraded);
+        break;
+    case HealthState::Degraded:
+        if (quarantine)
+            moveTo(HealthState::Quarantined);
+        else if (healthy_run_ >= config_.recover_streak)
+            moveTo(HealthState::Healthy);
+        break;
+    case HealthState::Quarantined:
+        // Quarantined is about decode integrity, so probation only needs
+        // frames that decoded for real — the stream may still be shedding
+        // or running degraded. Full health is then judged from Degraded.
+        if (decoded_run_ >= config_.recover_streak) {
+            ++stats_.health_recoveries;
+            moveTo(HealthState::Degraded);
+        }
+        break;
+    case HealthState::Evicted:
+        break;
+    }
+}
+
+void
+DegradationController::moveTo(HealthState next)
+{
+    if (next == state_)
+        return;
+    state_ = next;
+    ++stats_.health_transitions;
 }
 
 double
@@ -91,17 +155,13 @@ void
 DegradationController::attachObs(obs::ObsContext *ctx)
 {
     if (!ctx) {
-        obs_escalations_ = obs_recoveries_ = obs_quarantines_ = nullptr;
-        obs_held_ = obs_misses_ = nullptr;
+        obs_escalations_ = obs_recoveries_ = nullptr;
         obs_level_ = nullptr;
         return;
     }
     obs::PerfRegistry &r = ctx->registry();
     obs_escalations_ = &r.counter("degrade.escalations");
     obs_recoveries_ = &r.counter("degrade.recoveries");
-    obs_quarantines_ = &r.counter("degrade.quarantined_frames");
-    obs_held_ = &r.counter("degrade.held_frames");
-    obs_misses_ = &r.counter("degrade.deadline_misses");
     obs_level_ = &r.gauge("degrade.level");
 }
 

@@ -79,7 +79,7 @@ FleetServer::addStreamLocked()
 
     StreamEntry entry;
     entry.ctx = std::make_unique<StreamContext>(
-        pc, obs_.get(), /*force_degradation=*/config_.use_deadlines);
+        pc, obs_.get(), /*force_degradation=*/true);
     entry.ctx->setId(id);
     entry.label = pc.stream_label;
     entry.target = config_.frames_per_stream;
@@ -204,11 +204,11 @@ FleetServer::streamReportLocked(u32 id, const StreamEntry &entry) const
     sr.errors = entry.totals.errors;
     sr.dma_retries = entry.totals.dma_retries;
     sr.dma_dropped_bursts = entry.totals.dma_dropped_bursts;
-    sr.degradation_level = entry.degradation_level;
+    sr.degradation_level = entry.outcome.level();
     sr.completed = entry.totals.frames >= entry.target;
-    sr.health = entry.health.state();
-    sr.health_transitions = entry.health.transitions();
-    sr.health_recoveries = entry.health.recoveries();
+    sr.health = entry.outcome.health();
+    sr.health_transitions = entry.outcome.stats().health_transitions;
+    sr.health_recoveries = entry.outcome.stats().health_recoveries;
     sr.watchdog_warns = entry.watchdog_warns;
     sr.evicted = entry.evicted;
     return sr;
@@ -220,6 +220,12 @@ FleetServer::retireLocked(u32 id, StreamEntry &entry)
     entry.finished = true;
     entry.active = false;
     --live_;
+    // No frame of the stream is in flight any more, so this thread may
+    // touch its controller.
+    fault::DegradationController &ctl = *entry.ctx->degradation();
+    if (entry.evicted)
+        ctl.evict();
+    entry.outcome = ctl;
     // Release everything the stream owned (sensor models, framebuffer
     // ring, decoder scratchpads). Without this, long join/leave churn
     // accumulates one dead StreamContext per departed stream — the
@@ -447,22 +453,16 @@ FleetServer::finishFrame(FrameTask &task, bool errored)
     {
         std::lock_guard<std::mutex> lock(mutex_);
         entry = &streams_.at(id);
-        guard::HealthSignal sig;
         if (errored) {
+            // The one outcome that never reaches accountFrame.
             ++entry->totals.frames;
             ++entry->totals.errors;
-            sig.decode_quarantined = true; // errors count as dirty frames
+            fault::FrameHealth health;
+            health.errored = true;
+            task.stream->degradation()->onFrame(health);
         } else {
-            const PipelineFrameResult &r = task.result;
-            entry->totals.add(r);
-            entry->degradation_level = r.degradation_level;
-            sig.decode_quarantined = r.quarantined;
-            sig.shed = r.shed;
-            sig.deadline_missed = r.deadline_missed;
-            sig.degradation_level = static_cast<u32>(
-                r.degradation_level < 0 ? 0 : r.degradation_level);
+            entry->totals.add(task.result);
         }
-        entry->health.onFrame(sig);
         // Fold the measured engine-hold time into the admission cost
         // EWMA (shed/errored frames never held an engine; skip them).
         if (task.encode_hold_us > 0.0)
@@ -672,10 +672,10 @@ FleetServer::watchdogLoop()
                 // in-flight frame still completes eventually and retires
                 // the stream through the normal accounting path, so the
                 // conservation invariant stays exact — an evicted
-                // stream's frames are all accounted, never lost.
+                // stream's frames are all accounted, never lost. The
+                // retiring thread applies the verdict to the controller.
                 entry.evicted = true;
                 entry.active = false;
-                entry.health.evict();
                 ++watchdog_evictions_;
             } else if (age_ms > wd.quarantine_ms) {
                 if (!entry.wd_quarantined) {

@@ -15,9 +15,10 @@
  *
  * Scheduling is earliest-deadline-first: every frame of stream s carries
  * deadline epoch(s) + (n+1) * period(s), and the EDF queues hand engines
- * to the most urgent frame fleet-wide. Misses feed the per-stream
- * DegradationController, so an overloaded stream sheds region budget and
- * coarsens rhythm instead of stalling its neighbours.
+ * to the most urgent frame fleet-wide. Every frame outcome feeds the
+ * stream's one DegradationController (quality ladder + health state), so
+ * an overloaded stream sheds region budget and coarsens rhythm instead of
+ * stalling its neighbours.
  *
  * Invariant: at most ONE frame of each stream is inside the graph at any
  * time (frame n+1 is submitted by frame n's completion). Consequences:
@@ -75,7 +76,7 @@ struct FleetStreamReport {
     u64 dma_dropped_bursts = 0;
     int degradation_level = 0; //!< ladder level after the last frame
     bool completed = false;    //!< reached its frame target (vs removed)
-    // Health state machine outcome (deterministic from frame outcomes).
+    // Health outcome (deterministic from frame outcomes).
     guard::HealthState health = guard::HealthState::Healthy;
     u64 health_transitions = 0;
     u64 health_recoveries = 0; //!< quarantined → recovered transitions
@@ -147,9 +148,10 @@ struct FleetConfig {
      */
     std::function<void(const FleetStreamReport &)> stream_retired;
     /**
-     * Overload-protection policy (admission control, watchdog, shedding,
-     * health thresholds). Everything defaults off — a default GuardConfig
-     * reproduces seed fleet behavior exactly.
+     * Overload-protection policy (admission control, watchdog,
+     * shedding). Everything defaults off — a default GuardConfig
+     * reproduces seed fleet behavior exactly. Health thresholds live
+     * with the ladder in stream.fault.degradation.
      */
     guard::GuardConfig guard;
     /**
@@ -301,16 +303,20 @@ class FleetServer
         std::string label; //!< outlives ctx for reports after retirement
         u64 target = 0;
         FrameTotals totals;
-        int degradation_level = 0; //!< ladder level after the last frame
+        /** The stream's controller as it retired (ctx is gone by then). */
+        fault::DegradationController outcome;
         bool active = true;    //!< still scheduled for more frames
         bool seeded = false;   //!< first frame has entered the graph
         bool finished = false; //!< left the fleet (completed or removed)
         std::chrono::steady_clock::time_point epoch;
         double period_us = 0.0;
         // Guard state.
-        guard::HealthMachine health;
         u64 watchdog_warns = 0;
-        bool evicted = false; //!< watchdog verdict: removed from fleet
+        /**
+         * Watchdog verdict: removed from the fleet. The owner thread
+         * applies it to the controller when the in-flight frame retires.
+         */
+        bool evicted = false;
         /** Submission time of the in-flight frame (watchdog age base). */
         std::chrono::steady_clock::time_point inflight_since;
         bool wd_warned = false;      //!< this in-flight frame already warned
@@ -339,7 +345,10 @@ class FleetServer
     /** True when the shedder should drop this task before its lease. */
     bool pastShedDeadline(const FrameTask &task) const;
     void watchdogLoop();
-    /** Retire under mutex_: finished, live_--, context released. */
+    /**
+     * Retire under mutex_: finished, live_--, the controller's outcome
+     * (with any eviction verdict applied) copied out, context released.
+     */
     FleetStreamReport retireLocked(u32 id, StreamEntry &entry);
     FleetStreamReport streamReportLocked(u32 id,
                                          const StreamEntry &entry) const;

@@ -41,9 +41,9 @@ heldFrame(StreamContext &s)
 /**
  * The one frame-outcome path. Two facts about the frame — `stored` (it
  * reached the frame store) and `decoded` (it was decoded; implies
- * stored) — fix everything accounted for it: result flags, the ladder
- * feed, traffic, energy, pipeline.* counters, the telemetry record and
- * the frame span.
+ * stored) — fix everything accounted for it: result flags, the
+ * controller feed, traffic, energy, pipeline.* counters, the telemetry
+ * record and the frame span.
  *
  *   stored decoded | written  read     metadata  DRAM nJ per kept pixel
  *     1      1     | payload  payload  2 x meta  (2 ddr + write + read)
@@ -52,10 +52,12 @@ heldFrame(StreamContext &s)
  *
  * Sensing and CSI energy scale with the dense pixels captured, so every
  * frame pays them. Only a decoded frame draws the injected Deadline
- * fault and checks its deadline; a shed frame (not decoded) feeds the
- * ladder a miss — the stream is not keeping up — but leaves
- * result.deadline_missed false: misses count frames that ran to
- * completion late, and shed is its own outcome.
+ * fault and checks its deadline; a shed frame (not decoded) reaches the
+ * stream's controller as shed — its ladder counts that as a miss, the
+ * stream is not keeping up — but leaves result.deadline_missed false:
+ * misses count frames that ran to completion late, and shed is its own
+ * outcome. Errored frames never get here; FleetServer::finishFrame
+ * reports them to the controller instead.
  */
 void
 accountFrame(FrameTask &task, bool stored, bool decoded)
@@ -96,10 +98,11 @@ accountFrame(FrameTask &task, bool stored, bool decoded)
     }
     if (fault::DegradationController *degrade = s.degradation()) {
         fault::FrameHealth health;
-        health.deadline_missed = result.deadline_missed || !decoded;
+        health.deadline_missed = result.deadline_missed;
         health.decode_quarantined = result.quarantined;
         health.transient_faults =
             static_cast<u32>(result.transient_faults);
+        health.shed = !decoded;
         degrade->onFrame(health);
         result.degradation_level = degrade->level();
     }

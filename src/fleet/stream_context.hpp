@@ -68,7 +68,10 @@ struct PipelineFaultConfig {
      * wall-clock check (injected Stage::Deadline misses still count).
      */
     double deadline_ms = 0.0;
-    /** Escalation-ladder tuning (used when resilience is active). */
+    /**
+     * Outcome-controller tuning: ladder and health thresholds (used when
+     * resilience is active, and by every fleet stream).
+     */
     fault::DegradationConfig degradation;
 
     /** True when any resilience machinery needs to be constructed. */
@@ -237,8 +240,8 @@ class StreamContext
      * @param shared  shared pipeline-level obs handles (may be null when
      *                no observability is attached); not owned
      * @param force_degradation build the degradation controller even when
-     *                config.fault alone would not (fleet deadline
-     *                scheduling escalates per-stream on misses)
+     *                config.fault alone would not (every fleet stream
+     *                keeps its health there)
      */
     StreamContext(const PipelineConfig &config, PipelineObs *shared,
                   bool force_degradation = false);

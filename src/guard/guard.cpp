@@ -14,88 +14,4 @@ admissionPolicyName(AdmissionPolicy policy)
     return "unknown";
 }
 
-const char *
-healthStateName(HealthState state)
-{
-    switch (state) {
-    case HealthState::Healthy:
-        return "healthy";
-    case HealthState::Degraded:
-        return "degraded";
-    case HealthState::Quarantined:
-        return "quarantined";
-    case HealthState::Evicted:
-        return "evicted";
-    }
-    return "unknown";
-}
-
-void
-HealthMachine::moveTo(HealthState next)
-{
-    if (next == state_)
-        return;
-    if (state_ == HealthState::Quarantined &&
-        (next == HealthState::Degraded || next == HealthState::Healthy))
-        ++recoveries_;
-    state_ = next;
-    ++transitions_;
-}
-
-void
-HealthMachine::onFrame(const HealthSignal &signal)
-{
-    if (state_ == HealthState::Evicted)
-        return; // terminal
-
-    const bool dirty = signal.decode_quarantined || signal.shed ||
-                       signal.deadline_missed ||
-                       signal.degradation_level > 0;
-
-    if (signal.decode_quarantined) {
-        ++dirty_streak_;
-        decoded_streak_ = 0;
-    } else {
-        dirty_streak_ = 0;
-        ++decoded_streak_;
-    }
-
-    if (dirty)
-        clean_streak_ = 0;
-    else
-        ++clean_streak_;
-
-    switch (state_) {
-    case HealthState::Healthy:
-        if (dirty_streak_ >= cfg_.quarantine_streak)
-            moveTo(HealthState::Quarantined);
-        else if (dirty)
-            moveTo(HealthState::Degraded);
-        break;
-    case HealthState::Degraded:
-        if (dirty_streak_ >= cfg_.quarantine_streak)
-            moveTo(HealthState::Quarantined);
-        else if (clean_streak_ >= cfg_.recover_streak)
-            moveTo(HealthState::Healthy);
-        break;
-    case HealthState::Quarantined:
-        // Quarantined is about decode integrity, so stepping back to
-        // Degraded (probation) only needs a streak of frames that
-        // decoded for real — the stream may still be shedding or
-        // running degraded. Full health then needs a fully-clean
-        // streak on top, judged from the Degraded state.
-        if (decoded_streak_ >= cfg_.recover_streak)
-            moveTo(HealthState::Degraded);
-        break;
-    case HealthState::Evicted:
-        break;
-    }
-}
-
-void
-HealthMachine::evict()
-{
-    moveTo(HealthState::Evicted);
-}
-
 } // namespace rpx::guard

@@ -14,10 +14,10 @@
  *  - **Admission control**: a capacity model (engine throughput × fps
  *    budget) that rejects streams the fleet cannot serve, with an
  *    explicit reject-with-reason result.
- *  - **Health state machine**: per-stream Healthy → Degraded →
- *    Quarantined → Evicted with recovery transitions, driven by frame
- *    outcomes (pure and deterministic — chaos never feeds it wall-clock
- *    signals, so same-seed runs report identical health trajectories).
+ *  - **Stream health**: the Healthy/Degraded/Quarantined/Evicted state
+ *    the report exports. It is kept by the stream's outcome controller
+ *    (fault::DegradationController), a pure function of frame outcomes,
+ *    so same-seed runs report identical health trajectories.
  *  - **Watchdog / shedding config**: thresholds for the fleet's monitor
  *    thread and the deadline-aware load shedder at EDF dequeue.
  *
@@ -31,6 +31,7 @@
 #include <string>
 
 #include "common/types.hpp"
+#include "fault/degradation.hpp"
 
 namespace rpx::guard {
 
@@ -82,78 +83,9 @@ struct AdmissionResult {
     bool admitted() const { return outcome == AdmissionOutcome::Admitted; }
 };
 
-// ---------------------------------------------------------------------------
-// Per-stream health state machine
-// ---------------------------------------------------------------------------
-
-/**
- * Stream health, exported in rpx-fleet-report-v1.
- *
- *   Healthy ⇄ Degraded ⇄ Quarantined → Evicted
- *
- * Forward transitions are driven by frame outcomes (degradation-ladder
- * level, decode quarantines); recovery transitions by clean-frame
- * streaks. Evicted is terminal and only entered by explicit verdicts
- * (watchdog timeout, removeStream).
- */
-enum class HealthState : u32 {
-    Healthy = 0,
-    Degraded,
-    Quarantined,
-    Evicted,
-};
-
-/** Printable state name ("healthy", ...). */
-const char *healthStateName(HealthState state);
-
-/** Health transition thresholds. */
-struct HealthConfig {
-    /** Decode-quarantined frames in a row before Quarantined. */
-    u32 quarantine_streak = 3;
-    /** Clean frames in a row before stepping back toward Healthy. */
-    u32 recover_streak = 4;
-};
-
-/** One frame's worth of health evidence. */
-struct HealthSignal {
-    bool decode_quarantined = false; //!< frame served from quarantine path
-    bool shed = false;               //!< frame shed by the guard
-    bool deadline_missed = false;    //!< frame missed its EDF deadline
-    u32 degradation_level = 0;       //!< ladder level after this frame
-};
-
-/**
- * Pure per-stream health tracker. Deterministic function of the frame
- * outcome sequence — no clocks, no RNG — so fleet reports are
- * reproducible across same-seed runs even with chaos enabled.
- */
-class HealthMachine
-{
-  public:
-    explicit HealthMachine(const HealthConfig &cfg = {}) : cfg_(cfg) {}
-
-    HealthState state() const { return state_; }
-    u64 transitions() const { return transitions_; }
-    /** Quarantined → (Degraded|Healthy) recoveries observed. */
-    u64 recoveries() const { return recoveries_; }
-
-    /** Fold one frame outcome into the state machine. */
-    void onFrame(const HealthSignal &signal);
-
-    /** External verdict (watchdog timeout, removeStream). Terminal. */
-    void evict();
-
-  private:
-    void moveTo(HealthState next);
-
-    HealthConfig cfg_;
-    HealthState state_ = HealthState::Healthy;
-    u32 dirty_streak_ = 0;   //!< consecutive decode-quarantined frames
-    u32 clean_streak_ = 0;   //!< consecutive fully-clean frames
-    u32 decoded_streak_ = 0; //!< consecutive non-quarantined frames
-    u64 transitions_ = 0;
-    u64 recoveries_ = 0;
-};
+/** Stream health, kept by the stream's fault::DegradationController. */
+using HealthState = fault::HealthState;
+using fault::healthStateName;
 
 // ---------------------------------------------------------------------------
 // Watchdog + shedding
@@ -162,14 +94,15 @@ class HealthMachine
 /**
  * Stage-watchdog thresholds. When enabled, FleetServer runs a monitor
  * thread that scans per-stream in-flight ages and per-stage progress
- * heartbeats, escalating warn → quarantine → evict. Workers switch to
+ * heartbeats, escalating warn → quarantine → evict. Warn and quarantine
+ * only count; evict stops scheduling the stream. Workers switch to
  * timed queue pops so a closed-over wedge cannot hold them hostage.
  */
 struct WatchdogConfig {
     bool enabled = false;
     u32 interval_ms = 50;     //!< monitor scan period
-    u32 warn_ms = 200;        //!< in-flight age: log + count a warning
-    u32 quarantine_ms = 500;  //!< in-flight age: force-quarantine stream
+    u32 warn_ms = 200;        //!< in-flight age: count a warning
+    u32 quarantine_ms = 500;  //!< in-flight age: count a quarantine
     u32 evict_ms = 1000;      //!< in-flight age: evict stream from fleet
 };
 
@@ -187,7 +120,6 @@ struct ShedConfig {
 /** The full guard policy bundle carried by FleetConfig. */
 struct GuardConfig {
     AdmissionConfig admission;
-    HealthConfig health;
     WatchdogConfig watchdog;
     ShedConfig shed;
 };

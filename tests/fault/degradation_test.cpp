@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "fault/degradation.hpp"
 
 namespace rpx {
@@ -143,6 +145,126 @@ TEST(Degradation, InvalidConfigRejected)
     bad = testConfig();
     bad.budget_scale_per_level = 1.5;
     EXPECT_THROW(DegradationController{bad}, std::invalid_argument);
+
+    // A zero quarantine streak would quarantine a stream on its first
+    // clean frame; a zero recover streak would heal on a dirty one.
+    bad = testConfig();
+    bad.quarantine_streak = 0;
+    EXPECT_THROW(DegradationController{bad}, std::invalid_argument);
+
+    bad = testConfig();
+    bad.recover_streak = 0;
+    EXPECT_THROW(DegradationController{bad}, std::invalid_argument);
+}
+
+/** One fleet frame outcome, as the outcome path reports it. */
+struct Outcome {
+    bool missed = false;
+    bool quarantined = false;
+    bool shed = false;
+    bool errored = false;
+    u32 transient = 0;
+};
+
+u64
+splitmix(u64 &state)
+{
+    u64 z = (state += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+}
+
+/**
+ * A seeded two-state (calm / burst) outcome source: long calm stretches
+ * with rare faults, then bursts where most frames miss, shed, quarantine
+ * or error. Bursts are long enough to escalate and quarantine, calm
+ * stretches long enough to recover.
+ */
+std::vector<Outcome>
+burstyOutcomes(u64 seed, size_t n)
+{
+    std::vector<Outcome> seq;
+    seq.reserve(n);
+    u64 state = seed;
+    bool burst = false;
+    for (size_t i = 0; i < n; ++i) {
+        const u64 r = splitmix(state);
+        if ((r & 0xff) < (burst ? 20u : 6u))
+            burst = !burst;
+        const u32 kind = static_cast<u32>((r >> 8) % 100);
+        Outcome o;
+        o.transient = (r >> 16) % 4 == 0 ? 1 : 0;
+        if (burst) {
+            o.missed = kind < 40 || (kind >= 80 && kind < 88);
+            o.shed = kind >= 40 && kind < 60;
+            o.quarantined = kind >= 60 && kind < 88;
+            o.errored = kind >= 88 && kind < 95;
+        } else {
+            o.missed = kind < 3;
+            o.shed = kind == 3;
+            o.quarantined = kind == 4;
+            o.errored = kind == 5;
+        }
+        if (o.errored)
+            o = Outcome{false, false, false, true, 0};
+        seq.push_back(o);
+    }
+    return seq;
+}
+
+void
+fnv(u64 &h, u64 v)
+{
+    for (int b = 0; b < 8; ++b) {
+        h ^= (v >> (8 * b)) & 0xff;
+        h *= 0x100000001b3ull;
+    }
+}
+
+/**
+ * The controller reproduces, frame for frame, the trajectory of the two
+ * machines it replaced: a ladder fed missed||shed that skipped errored
+ * frames, then a health machine fed the post-update level (or a decode
+ * quarantine for an errored frame). The constant hashes per-frame
+ * (level, health) plus the final escalations, recoveries, health
+ * transitions and health recoveries under the default and a
+ * small-threshold config; it was computed from those two machines.
+ */
+TEST(Degradation, FoldedControllerMatchesPinnedTrajectory)
+{
+    DegradationConfig small;
+    small.escalate_after_misses = 1;
+    small.recover_after_clean = 2;
+    small.max_level = 2;
+    small.quarantine_streak = 1;
+    small.recover_streak = 2;
+    const std::vector<Outcome> seq = burstyOutcomes(20'240'611, 12'000);
+
+    u64 hash = 0xcbf29ce484222325ull;
+    for (const DegradationConfig &config : {DegradationConfig{}, small}) {
+        DegradationController ctl(config);
+        u64 quarantined_frames = 0;
+        for (const Outcome &o : seq) {
+            ctl.onFrame(FrameHealth{o.missed, o.quarantined, o.transient,
+                                    o.shed, o.errored});
+            fnv(hash, static_cast<u64>(ctl.level()));
+            fnv(hash, static_cast<u64>(ctl.health()));
+            quarantined_frames +=
+                ctl.health() == fault::HealthState::Quarantined;
+        }
+        fnv(hash, ctl.stats().escalations);
+        fnv(hash, ctl.stats().recoveries);
+        fnv(hash, ctl.stats().health_transitions);
+        fnv(hash, ctl.stats().health_recoveries);
+        // The sequence exercises every edge the pin is meant to hold.
+        EXPECT_GT(ctl.stats().escalations, 10u);
+        EXPECT_GT(ctl.stats().recoveries, 10u);
+        EXPECT_GT(ctl.stats().health_recoveries, 10u);
+        EXPECT_GT(quarantined_frames, 0u);
+        EXPECT_LT(ctl.stats().frames, seq.size()); // errored frames skip it
+    }
+    EXPECT_EQ(hash, 0xe811fb53677ae841ull);
 }
 
 } // namespace

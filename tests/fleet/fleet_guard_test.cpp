@@ -3,8 +3,8 @@
  * Integration tests for the fleet overload-protection layer: capacity-model
  * admission (reject-with-reason, re-admission after load drops), hard-cap
  * rejection under saturation churn, deadline-aware shedding conservation
- * at both shed points, and watchdog eviction of a chaos-wedged worker (no
- * hang).
+ * at both shed points, watchdog eviction of a chaos-wedged worker (no
+ * hang), and stream health driven by stage errors.
  */
 
 #include <gtest/gtest.h>
@@ -328,6 +328,48 @@ TEST(FleetGuard, WatchdogEvictsWedgedStreamsWithoutHang)
     }
     EXPECT_EQ(evicted, rep.watchdog_evictions);
     EXPECT_EQ(per_stream_frames, rep.frames);
+}
+
+/**
+ * Stage errors drive health even where no ladder is configured: one
+ * stream, no deadlines, no fault config, on the sensor path. Frames 2-4
+ * arrive grayscale, so CaptureStage throws and each frame errors. Three
+ * errored frames in a row quarantine the stream (Healthy -> Degraded ->
+ * Quarantined); four decoded frames then step it back to Degraded (one
+ * recovery) and one more clean frame restores Healthy. Errored frames
+ * skip the ladder, so the level stays 0.
+ */
+TEST(FleetGuard, StageErrorsDriveHealthWithoutLadder)
+{
+    struct Expect {
+        u32 frames;
+        guard::HealthState health;
+        u64 transitions;
+        u64 recoveries;
+    };
+    for (const Expect &want :
+         {Expect{5, guard::HealthState::Quarantined, 2, 0},
+          Expect{12, guard::HealthState::Healthy, 4, 1}}) {
+        FleetConfig fc = guardFleet(1, want.frames);
+        fc.stream.use_sensor_path = true;
+        fc.scene_source = [](u32, u64 frame) {
+            const bool gray = frame >= 2 && frame <= 4;
+            return Image(96, 64, gray ? PixelFormat::Gray8 : PixelFormat::Rgb8,
+                         128);
+        };
+        FleetServer server(fc);
+        const FleetReport rep = server.run();
+
+        ASSERT_EQ(rep.streams.size(), 1u);
+        const FleetStreamReport &s = rep.streams[0];
+        EXPECT_EQ(s.frames, want.frames);
+        EXPECT_EQ(s.errors, 3u);
+        EXPECT_STREQ(guard::healthStateName(s.health),
+                     guard::healthStateName(want.health));
+        EXPECT_EQ(s.health_transitions, want.transitions);
+        EXPECT_EQ(s.health_recoveries, want.recoveries);
+        EXPECT_EQ(s.degradation_level, 0);
+    }
 }
 
 } // namespace

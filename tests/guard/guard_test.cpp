@@ -6,149 +6,156 @@
 #include <string>
 
 #include "fault/chaos.hpp"
+#include "fault/degradation.hpp"
 #include "fault/fault.hpp"
 #include "guard/guard.hpp"
 
 namespace rpx {
 namespace {
 
-guard::HealthSignal
+// Stream health lives in the per-stream outcome controller; these feed it
+// the frame outcomes the fleet reports and read back the health state.
+
+fault::FrameHealth
 cleanFrame()
 {
     return {};
 }
 
-guard::HealthSignal
+fault::FrameHealth
 quarantinedFrame()
 {
-    guard::HealthSignal s;
+    fault::FrameHealth s;
     s.decode_quarantined = true;
     return s;
 }
 
-guard::HealthSignal
+fault::FrameHealth
 shedFrame()
 {
-    guard::HealthSignal s;
+    fault::FrameHealth s;
     s.shed = true;
     return s;
 }
 
 TEST(HealthMachine, StartsHealthyAndStaysOnCleanFrames)
 {
-    guard::HealthMachine hm;
+    fault::DegradationController hm;
     for (int i = 0; i < 10; ++i)
         hm.onFrame(cleanFrame());
-    EXPECT_EQ(hm.state(), guard::HealthState::Healthy);
-    EXPECT_EQ(hm.transitions(), 0u);
-    EXPECT_EQ(hm.recoveries(), 0u);
+    EXPECT_EQ(hm.health(), guard::HealthState::Healthy);
+    EXPECT_EQ(hm.stats().health_transitions, 0u);
+    EXPECT_EQ(hm.stats().health_recoveries, 0u);
 }
 
 TEST(HealthMachine, SingleDirtyFrameDegrades)
 {
-    guard::HealthMachine hm;
+    fault::DegradationController hm;
     hm.onFrame(shedFrame());
-    EXPECT_EQ(hm.state(), guard::HealthState::Degraded);
-    EXPECT_EQ(hm.transitions(), 1u);
+    EXPECT_EQ(hm.health(), guard::HealthState::Degraded);
+    EXPECT_EQ(hm.stats().health_transitions, 1u);
 }
 
 TEST(HealthMachine, QuarantineStreakQuarantines)
 {
-    guard::HealthConfig cfg;
+    fault::DegradationConfig cfg;
     cfg.quarantine_streak = 3;
-    guard::HealthMachine hm(cfg);
+    fault::DegradationController hm(cfg);
     hm.onFrame(quarantinedFrame());
     hm.onFrame(quarantinedFrame());
-    EXPECT_EQ(hm.state(), guard::HealthState::Degraded);
+    EXPECT_EQ(hm.health(), guard::HealthState::Degraded);
     hm.onFrame(quarantinedFrame());
-    EXPECT_EQ(hm.state(), guard::HealthState::Quarantined);
+    EXPECT_EQ(hm.health(), guard::HealthState::Quarantined);
 }
 
 TEST(HealthMachine, BrokenStreakDoesNotQuarantine)
 {
-    guard::HealthConfig cfg;
+    fault::DegradationConfig cfg;
     cfg.quarantine_streak = 3;
-    guard::HealthMachine hm(cfg);
+    fault::DegradationController hm(cfg);
     for (int i = 0; i < 6; ++i) {
         hm.onFrame(quarantinedFrame());
         hm.onFrame(quarantinedFrame());
         hm.onFrame(cleanFrame()); // streak broken every time
     }
-    EXPECT_NE(hm.state(), guard::HealthState::Quarantined);
+    EXPECT_NE(hm.health(), guard::HealthState::Quarantined);
 }
 
 TEST(HealthMachine, RecoversThroughDegradedToHealthy)
 {
-    guard::HealthConfig cfg;
+    fault::DegradationConfig cfg;
     cfg.quarantine_streak = 2;
     cfg.recover_streak = 3;
-    guard::HealthMachine hm(cfg);
+    fault::DegradationController hm(cfg);
     hm.onFrame(quarantinedFrame());
     hm.onFrame(quarantinedFrame());
-    ASSERT_EQ(hm.state(), guard::HealthState::Quarantined);
+    ASSERT_EQ(hm.health(), guard::HealthState::Quarantined);
 
     // Three decoded frames step back to Degraded (the recovery the
     // counter tracks), three fully-clean frames then restore Healthy.
     hm.onFrame(cleanFrame());
     hm.onFrame(cleanFrame());
-    EXPECT_EQ(hm.state(), guard::HealthState::Quarantined);
+    EXPECT_EQ(hm.health(), guard::HealthState::Quarantined);
     hm.onFrame(cleanFrame());
-    EXPECT_EQ(hm.state(), guard::HealthState::Degraded);
-    EXPECT_EQ(hm.recoveries(), 1u);
+    EXPECT_EQ(hm.health(), guard::HealthState::Degraded);
+    EXPECT_EQ(hm.stats().health_recoveries, 1u);
     hm.onFrame(cleanFrame());
-    EXPECT_EQ(hm.state(), guard::HealthState::Healthy);
-    EXPECT_EQ(hm.recoveries(), 1u);
+    EXPECT_EQ(hm.health(), guard::HealthState::Healthy);
+    EXPECT_EQ(hm.stats().health_recoveries, 1u);
 }
 
 TEST(HealthMachine, QuarantineRecoveryToleratesShedFrames)
 {
     // Quarantined is about decode integrity: a stream that sheds under
     // load but decodes what it keeps still earns probation.
-    guard::HealthConfig cfg;
+    fault::DegradationConfig cfg;
     cfg.quarantine_streak = 2;
     cfg.recover_streak = 2;
-    guard::HealthMachine hm(cfg);
+    // The four shed frames would otherwise escalate the ladder, and a
+    // degraded level keeps health out of Healthy.
+    cfg.max_level = 0;
+    fault::DegradationController hm(cfg);
     hm.onFrame(quarantinedFrame());
     hm.onFrame(quarantinedFrame());
-    ASSERT_EQ(hm.state(), guard::HealthState::Quarantined);
+    ASSERT_EQ(hm.health(), guard::HealthState::Quarantined);
     hm.onFrame(shedFrame());
     hm.onFrame(shedFrame());
-    EXPECT_EQ(hm.state(), guard::HealthState::Degraded);
-    EXPECT_EQ(hm.recoveries(), 1u);
+    EXPECT_EQ(hm.health(), guard::HealthState::Degraded);
+    EXPECT_EQ(hm.stats().health_recoveries, 1u);
     // But the final step to Healthy needs fully-clean frames.
     hm.onFrame(shedFrame());
     hm.onFrame(shedFrame());
-    EXPECT_EQ(hm.state(), guard::HealthState::Degraded);
+    EXPECT_EQ(hm.health(), guard::HealthState::Degraded);
     hm.onFrame(cleanFrame());
     hm.onFrame(cleanFrame());
-    EXPECT_EQ(hm.state(), guard::HealthState::Healthy);
+    EXPECT_EQ(hm.health(), guard::HealthState::Healthy);
 }
 
 TEST(HealthMachine, EvictIsTerminal)
 {
-    guard::HealthMachine hm;
+    fault::DegradationController hm;
     hm.evict();
-    EXPECT_EQ(hm.state(), guard::HealthState::Evicted);
+    EXPECT_EQ(hm.health(), guard::HealthState::Evicted);
     for (int i = 0; i < 20; ++i)
         hm.onFrame(cleanFrame());
-    EXPECT_EQ(hm.state(), guard::HealthState::Evicted);
-    EXPECT_EQ(hm.transitions(), 1u);
+    EXPECT_EQ(hm.health(), guard::HealthState::Evicted);
+    EXPECT_EQ(hm.stats().health_transitions, 1u);
 }
 
 TEST(HealthMachine, DeterministicForSameSignalSequence)
 {
-    guard::HealthMachine a, b;
-    const guard::HealthSignal seq[] = {quarantinedFrame(), shedFrame(),
-                                       cleanFrame(), quarantinedFrame(),
-                                       quarantinedFrame(),
-                                       quarantinedFrame(), cleanFrame()};
+    fault::DegradationController a, b;
+    const fault::FrameHealth seq[] = {quarantinedFrame(), shedFrame(),
+                                      cleanFrame(), quarantinedFrame(),
+                                      quarantinedFrame(),
+                                      quarantinedFrame(), cleanFrame()};
     for (const auto &s : seq) {
         a.onFrame(s);
         b.onFrame(s);
     }
-    EXPECT_EQ(a.state(), b.state());
-    EXPECT_EQ(a.transitions(), b.transitions());
-    EXPECT_EQ(a.recoveries(), b.recoveries());
+    EXPECT_EQ(a.health(), b.health());
+    EXPECT_EQ(a.stats().health_transitions, b.stats().health_transitions);
+    EXPECT_EQ(a.stats().health_recoveries, b.stats().health_recoveries);
 }
 
 TEST(GuardNames, AllEnumeratorsHaveNames)
