@@ -180,8 +180,8 @@ fleetCommand(const std::map<std::string, std::string> &flags,
         }
     }
     if (flags.count("watchdog-ms")) {
-        // One knob sets the whole watchdog ladder: count a warning at N
-        // and a quarantine at 2N, evict at 4N, scanning every N/4 ms.
+        // One knob sets the whole watchdog: count a warning at N, evict
+        // at 4N, scanning every N/4 ms.
         const u32 n = static_cast<u32>(
             std::stoul(flags.at("watchdog-ms")));
         if (n < 1) {
@@ -190,7 +190,6 @@ fleetCommand(const std::map<std::string, std::string> &flags,
         }
         fc.guard.watchdog.enabled = true;
         fc.guard.watchdog.warn_ms = n;
-        fc.guard.watchdog.quarantine_ms = 2 * n;
         fc.guard.watchdog.evict_ms = 4 * n;
         fc.guard.watchdog.interval_ms = std::max<u32>(1, n / 4);
     }

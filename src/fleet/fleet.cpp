@@ -322,7 +322,6 @@ FleetServer::beginFrameLocked(StreamEntry &entry)
     entry.seeded = true;
     entry.inflight_since = std::chrono::steady_clock::now();
     entry.wd_warned = false;
-    entry.wd_quarantined = false;
 }
 
 void
@@ -677,17 +676,10 @@ FleetServer::watchdogLoop()
                 entry.evicted = true;
                 entry.active = false;
                 ++watchdog_evictions_;
-            } else if (age_ms > wd.quarantine_ms) {
-                if (!entry.wd_quarantined) {
-                    entry.wd_quarantined = true;
-                    ++watchdog_quarantines_;
-                }
-            } else if (age_ms > wd.warn_ms) {
-                if (!entry.wd_warned) {
-                    entry.wd_warned = true;
-                    ++entry.watchdog_warns;
-                    ++watchdog_warns_;
-                }
+            } else if (age_ms > wd.warn_ms && !entry.wd_warned) {
+                entry.wd_warned = true;
+                ++entry.watchdog_warns;
+                ++watchdog_warns_;
             }
         }
     }
@@ -810,7 +802,6 @@ FleetServer::run()
     rep.decode_queue = decode_q_.stats();
     rep.admission_rejects = admission_rejects_;
     rep.watchdog_warns = watchdog_warns_;
-    rep.watchdog_quarantines = watchdog_quarantines_;
     rep.watchdog_evictions = watchdog_evictions_;
     if (chaos_) {
         rep.chaos_hits = chaos_->totalHits();
@@ -910,8 +901,6 @@ toJson(const FleetReport &r)
        << "  \"guard\": {\n"
        << "    \"admission_rejects\": " << r.admission_rejects << ",\n"
        << "    \"watchdog_warns\": " << r.watchdog_warns << ",\n"
-       << "    \"watchdog_quarantines\": " << r.watchdog_quarantines
-       << ",\n"
        << "    \"watchdog_evictions\": " << r.watchdog_evictions << ",\n"
        << "    \"health_transitions\": " << r.health_transitions << ",\n"
        << "    \"health_recoveries\": " << r.health_recoveries << ",\n"

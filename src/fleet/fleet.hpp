@@ -176,7 +176,6 @@ struct FleetReport {
     // Guard layer outcome.
     u64 admission_rejects = 0;
     u64 watchdog_warns = 0;
-    u64 watchdog_quarantines = 0;
     u64 watchdog_evictions = 0;
     u64 health_transitions = 0;
     u64 health_recoveries = 0;
@@ -319,8 +318,7 @@ class FleetServer
         bool evicted = false;
         /** Submission time of the in-flight frame (watchdog age base). */
         std::chrono::steady_clock::time_point inflight_since;
-        bool wd_warned = false;      //!< this in-flight frame already warned
-        bool wd_quarantined = false; //!< ... already counted a quarantine
+        bool wd_warned = false; //!< this in-flight frame already warned
     };
 
     u32 addStreamLocked();
@@ -396,7 +394,6 @@ class FleetServer
     // Guard counters that belong to no single frame (guarded by mutex_).
     u64 admission_rejects_ = 0;
     u64 watchdog_warns_ = 0;
-    u64 watchdog_quarantines_ = 0;
     u64 watchdog_evictions_ = 0;
     /** EWMA of measured encode engine-hold µs (admission cost model). */
     double encode_hold_ewma_us_ = 0.0;

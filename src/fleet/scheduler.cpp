@@ -6,15 +6,24 @@
 
 namespace rpx::fleet {
 
-EdfQueue::EdfQueue(size_t capacity) : capacity_(capacity)
+namespace {
+
+size_t
+checkedCapacity(size_t capacity)
 {
-    if (capacity_ == 0)
+    if (capacity == 0)
         throwInvalid("EDF queue capacity must be >= 1");
-    heap_.reserve(capacity_);
+    return capacity;
+}
+
+} // namespace
+
+EdfQueue::EdfQueue(size_t capacity) : MpmcQueue(checkedCapacity(capacity))
+{
 }
 
 bool
-EdfQueue::laterThan(const FrameTask &a, const FrameTask &b)
+EdfOrder::laterThan(const FrameTask &a, const FrameTask &b)
 {
     // Deadline-less tasks all share the epoch value and fall through to
     // the fair tie-break.
@@ -34,170 +43,19 @@ EdfQueue::laterThan(const FrameTask &a, const FrameTask &b)
 }
 
 void
-EdfQueue::pushLocked(FrameTask &&task)
+EdfOrder::put(FrameTask &&task)
 {
     heap_.push_back(std::move(task));
     std::push_heap(heap_.begin(), heap_.end(), laterThan);
-    ++stats_.pushes;
-    stats_.high_water = std::max<u64>(stats_.high_water, heap_.size());
 }
 
 FrameTask
-EdfQueue::popEarliestLocked()
+EdfOrder::take()
 {
     std::pop_heap(heap_.begin(), heap_.end(), laterThan);
     FrameTask task = std::move(heap_.back());
     heap_.pop_back();
-    ++stats_.pops;
     return task;
-}
-
-bool
-EdfQueue::push(FrameTask task)
-{
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        if (!closed_ && heap_.size() >= capacity_) {
-            ++stats_.push_waits;
-            not_full_.wait(lock, [this] {
-                return closed_ || heap_.size() < capacity_;
-            });
-        }
-        if (closed_) {
-            ++stats_.rejected;
-            return false;
-        }
-        pushLocked(std::move(task));
-    }
-    not_empty_.notify_one();
-    return true;
-}
-
-bool
-EdfQueue::tryPush(FrameTask &task)
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (closed_) {
-            ++stats_.rejected;
-            return false;
-        }
-        if (heap_.size() >= capacity_)
-            return false;
-        pushLocked(std::move(task));
-    }
-    not_empty_.notify_one();
-    return true;
-}
-
-bool
-EdfQueue::pushFor(FrameTask task, std::chrono::microseconds timeout)
-{
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        if (!closed_ && heap_.size() >= capacity_) {
-            ++stats_.push_waits;
-            if (!not_full_.wait_for(lock, timeout, [this] {
-                    return closed_ || heap_.size() < capacity_;
-                }))
-                return false; // timed out, still full
-        }
-        if (closed_) {
-            ++stats_.rejected;
-            return false;
-        }
-        pushLocked(std::move(task));
-    }
-    not_empty_.notify_one();
-    return true;
-}
-
-std::optional<FrameTask>
-EdfQueue::pop()
-{
-    std::optional<FrameTask> out;
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        if (heap_.empty() && !closed_) {
-            ++stats_.pop_waits;
-            not_empty_.wait(lock,
-                            [this] { return closed_ || !heap_.empty(); });
-        }
-        if (heap_.empty())
-            return std::nullopt; // closed and drained
-        out = popEarliestLocked();
-    }
-    not_full_.notify_one();
-    return out;
-}
-
-std::optional<FrameTask>
-EdfQueue::popFor(std::chrono::microseconds timeout)
-{
-    std::optional<FrameTask> out;
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        if (heap_.empty() && !closed_) {
-            ++stats_.pop_waits;
-            if (!not_empty_.wait_for(lock, timeout, [this] {
-                    return closed_ || !heap_.empty();
-                }))
-                return std::nullopt; // timed out, still empty
-        }
-        if (heap_.empty())
-            return std::nullopt; // closed and drained
-        out = popEarliestLocked();
-    }
-    not_full_.notify_one();
-    return out;
-}
-
-std::optional<FrameTask>
-EdfQueue::tryPop()
-{
-    std::optional<FrameTask> out;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (heap_.empty())
-            return std::nullopt;
-        out = popEarliestLocked();
-    }
-    not_full_.notify_one();
-    return out;
-}
-
-void
-EdfQueue::close()
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (closed_)
-            return;
-        closed_ = true;
-    }
-    not_full_.notify_all();
-    not_empty_.notify_all();
-}
-
-bool
-EdfQueue::closed() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return closed_;
-}
-
-size_t
-EdfQueue::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return heap_.size();
-}
-
-EdfQueueStats
-EdfQueue::stats() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return stats_;
 }
 
 } // namespace rpx::fleet

@@ -3,100 +3,53 @@
  * Deadline-aware frame scheduling (rpx::fleet).
  *
  * EdfQueue is the fleet's arbitration point between streams and the
- * bounded engine pools: a blocking bounded priority queue of FrameTasks
- * ordered earliest-deadline-first. Workers pop the most urgent frame
+ * bounded engine pools: the stream layer's blocking MpmcQueue with an
+ * earliest-deadline-first buffer order. Workers pop the most urgent frame
  * across *all* streams, so when streams outnumber engines the engines
  * always serve the frames closest to missing their deadlines — classic
- * EDF, which is optimal for a single resource class.
+ * EDF, which is optimal for a single resource class. Blocking, timed and
+ * try operations, close/drain and the stats are MpmcQueue's own.
  *
  * Ordering key: (deadline, stream id, frame index). Tasks without a
  * deadline (the facade path, or a fleet run with deadlines disabled)
  * compare equal on the first component and fall back to fair round-robin
  * by stream id, then frame order.
- *
- * Close/drain semantics mirror MpmcQueue: close() refuses new pushes,
- * wakes all waiters, and lets consumers drain buffered tasks before pop()
- * returns nullopt.
  */
 
 #ifndef RPX_FLEET_SCHEDULER_HPP
 #define RPX_FLEET_SCHEDULER_HPP
 
-#include <chrono>
-#include <condition_variable>
-#include <mutex>
-#include <optional>
 #include <vector>
 
 #include "fleet/stages.hpp"
+#include "stream/fifo.hpp"
 
 namespace rpx::fleet {
 
-/** Occupancy/stall counters of one EdfQueue. */
-struct EdfQueueStats {
-    u64 pushes = 0;
-    u64 pops = 0;
-    u64 push_waits = 0; //!< pushes that blocked on a full queue
-    u64 pop_waits = 0;  //!< pops that blocked on an empty queue
-    u64 rejected = 0;   //!< pushes refused because the queue was closed
-    u64 high_water = 0; //!< peak occupancy
-};
-
-/** Blocking bounded earliest-deadline-first queue of FrameTasks. */
-class EdfQueue
+/** Earliest-deadline-first buffer order of FrameTasks (a binary heap). */
+class EdfOrder
 {
   public:
-    explicit EdfQueue(size_t capacity);
-
-    /**
-     * Block until there is room, then insert. Returns false (dropping the
-     * task) iff the queue is closed.
-     */
-    bool push(FrameTask task);
-    /** Insert only if there is room right now; false if full or closed. */
-    bool tryPush(FrameTask &task);
-    /**
-     * Like push(), but give up after @p timeout. False means closed
-     * (recorded as rejected) or timed out (not recorded); callers tell
-     * the two apart via closed().
-     */
-    bool pushFor(FrameTask task, std::chrono::microseconds timeout);
-
-    /**
-     * Block until a task is available and pop the earliest-deadline one.
-     * Returns nullopt once the queue is closed *and* drained.
-     */
-    std::optional<FrameTask> pop();
-    /** Pop the earliest-deadline task only if one is buffered now. */
-    std::optional<FrameTask> tryPop();
-    /**
-     * Like pop(), but give up after @p timeout. A nullopt means either
-     * closed-and-drained or timed out; watchdogged consumers use the
-     * timeout as their heartbeat interval and re-check closed().
-     */
-    std::optional<FrameTask> popFor(std::chrono::microseconds timeout);
-
-    /** Refuse new pushes and wake all waiters. Idempotent. */
-    void close();
-    bool closed() const;
-
-    size_t size() const;
-    size_t capacity() const { return capacity_; }
-    EdfQueueStats stats() const;
+    void put(FrameTask &&task);
+    /** Remove and return the earliest-deadline task. */
+    FrameTask take();
+    size_t size() const { return heap_.size(); }
 
   private:
     /** True when a should run *after* b (max-heap comparator → EDF pop). */
     static bool laterThan(const FrameTask &a, const FrameTask &b);
-    FrameTask popEarliestLocked();
-    void pushLocked(FrameTask &&task);
 
-    const size_t capacity_;
-    mutable std::mutex mutex_;
-    std::condition_variable not_full_;
-    std::condition_variable not_empty_;
     std::vector<FrameTask> heap_;
-    bool closed_ = false;
-    EdfQueueStats stats_;
+};
+
+using EdfQueueStats = MpmcQueueStats;
+
+/** Blocking bounded earliest-deadline-first queue of FrameTasks. */
+class EdfQueue : public MpmcQueue<FrameTask, EdfOrder>
+{
+  public:
+    /** @throws std::invalid_argument when @p capacity is 0. */
+    explicit EdfQueue(size_t capacity);
 };
 
 } // namespace rpx::fleet

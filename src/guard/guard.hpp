@@ -94,15 +94,15 @@ using fault::healthStateName;
 /**
  * Stage-watchdog thresholds. When enabled, FleetServer runs a monitor
  * thread that scans per-stream in-flight ages and per-stage progress
- * heartbeats, escalating warn → quarantine → evict. Warn and quarantine
- * only count; evict stops scheduling the stream. Workers switch to
- * timed queue pops so a closed-over wedge cannot hold them hostage.
+ * heartbeats: an in-flight frame older than evict_ms evicts its stream
+ * (no more frames are scheduled), otherwise one older than warn_ms counts
+ * one warning. Workers switch to timed queue pops so a closed-over wedge
+ * cannot hold them hostage.
  */
 struct WatchdogConfig {
     bool enabled = false;
     u32 interval_ms = 50;     //!< monitor scan period
     u32 warn_ms = 200;        //!< in-flight age: count a warning
-    u32 quarantine_ms = 500;  //!< in-flight age: count a quarantine
     u32 evict_ms = 1000;      //!< in-flight age: evict stream from fleet
 };
 

@@ -461,13 +461,12 @@ SoakRunner::run()
         fc.chaos.slow_lease_rate = 0.015;
         fc.chaos.queue_burst_rate = 0.01;
         // Watchdog with thresholds far above the injected delays: the
-        // warn tier may fire under load, but quarantine/evict verdicts
-        // would break the slot-budget invariant and must stay out of
-        // reach of healthy (if slow) progress.
+        // warn tier may fire under load, but an eviction would break the
+        // slot-budget invariant and must stay out of reach of healthy
+        // (if slow) progress.
         fc.guard.watchdog.enabled = true;
         fc.guard.watchdog.interval_ms = 20;
         fc.guard.watchdog.warn_ms = 400;
-        fc.guard.watchdog.quarantine_ms = 4000;
         fc.guard.watchdog.evict_ms = 20000;
     }
     fc.streams = opts_.streams;
@@ -598,8 +597,6 @@ SoakRunner::finalChecks(const fleet::FleetReport &rep, SoakResult &res)
             res.degrade_recoveries = v;
         }
     }
-    res.arena_high_water_bytes = static_cast<u64>(
-        obs_.registry().gauge("decoder.arena_high_water_bytes").value());
 
     res.rss_peak_kb = std::max(rss_peak_, peakRssKb());
     res.checkpoint_p50_us = sortedQuantile(check_durations_, 0.5);
@@ -738,8 +735,6 @@ toJson(const SoakResult &result)
     os << "  \"chaos_hits\": " << result.chaos_hits << ",\n";
     os << "  \"rss_start_kb\": " << result.rss_start_kb << ",\n";
     os << "  \"rss_peak_kb\": " << result.rss_peak_kb << ",\n";
-    os << "  \"arena_high_water_bytes\": " << result.arena_high_water_bytes
-       << ",\n";
     os << "  \"checkpoint_p50_us\": " << result.checkpoint_p50_us << ",\n";
     os << "  \"checkpoint_p99_us\": " << result.checkpoint_p99_us << ",\n";
     os << "  \"violations\": [";

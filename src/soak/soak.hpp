@@ -11,9 +11,8 @@
  *    (bounded by max_streams) mid-run, and must match *exactly* once
  *    the fleet has quiesced;
  *  - memory: RSS (VmRSS) is sampled at every checkpoint and its peak
- *    reported; the decoder arena high-water gauge and every queue's
- *    high-water mark land in the report so growth is visible in trend
- *    comparisons;
+ *    reported, and every queue's high-water mark lands in the report, so
+ *    growth is visible in trend comparisons;
  *  - health: stream errors are zero and the degradation ladder state is
  *    recorded.
  *
@@ -130,7 +129,6 @@ struct SoakResult {
     // Memory.
     u64 rss_start_kb = 0;
     u64 rss_peak_kb = 0;
-    u64 arena_high_water_bytes = 0; //!< decoder arena gauge sample
 
     // Checkpoint latency (wall).
     double checkpoint_p50_us = 0.0;

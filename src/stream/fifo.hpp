@@ -1,20 +1,23 @@
 /**
  * @file
- * Bounded FIFO modelling the depth-16 AXI-stream buffers in the encoder and
- * the response FIFO of the decoder's sampling unit. Push/pop failures are
- * recorded as stall cycles so the timing claims of §6.3 can be checked.
+ * Bounded queues of the stream layer.
  *
- * Two variants share the file:
- *  - Fifo<T>: single-threaded, non-blocking, stall-accounting — the
- *    hardware model (unchanged semantics since the seed).
- *  - MpmcQueue<T>: blocking, bounded, multi-producer/multi-consumer with
- *    close/drain semantics — the software inter-stage channel the fleet
- *    server's stage graph is built on.
+ *  - Fifo<T>: single-threaded, non-blocking, stall-accounting model of the
+ *    depth-16 AXI-stream buffers in the encoder and the response FIFO of
+ *    the decoder's sampling unit. Push/pop failures are recorded as stall
+ *    cycles so the timing claims of §6.3 can be checked.
+ *  - MpmcQueue<T, Order>: the one blocking, bounded, multi-producer/
+ *    multi-consumer queue with close/drain semantics that every fleet
+ *    stage hand-off is built on. Order picks which buffered element a pop
+ *    returns: arrival order (FifoOrder, the default; the capture and store
+ *    queues) or earliest deadline first (fleet::EdfQueue; the encode and
+ *    decode queues in front of the engine pools).
  */
 
 #ifndef RPX_STREAM_FIFO_HPP
 #define RPX_STREAM_FIFO_HPP
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
@@ -143,10 +146,31 @@ class Fifo
 struct MpmcQueueStats {
     u64 pushes = 0;      //!< elements accepted
     u64 pops = 0;        //!< elements handed out
-    u64 push_waits = 0;  //!< push() calls that blocked on a full queue
-    u64 pop_waits = 0;   //!< pop() calls that blocked on an empty queue
+    u64 push_waits = 0;  //!< pushes that blocked on a full queue
+    u64 pop_waits = 0;   //!< pops that blocked on an empty queue
     u64 rejected = 0;    //!< pushes refused because the queue was closed
     size_t high_water = 0; //!< peak occupancy
+};
+
+/** Arrival order: the default MpmcQueue buffer (pop returns the oldest). */
+template <typename T>
+class FifoOrder
+{
+  public:
+    void put(T &&v) { q_.push_back(std::move(v)); }
+
+    T
+    take()
+    {
+        T v = std::move(q_.front());
+        q_.pop_front();
+        return v;
+    }
+
+    size_t size() const { return q_.size(); }
+
+  private:
+    std::deque<T> q_;
 };
 
 /**
@@ -159,11 +183,16 @@ struct MpmcQueueStats {
  * returns nullopt. That shutdown contract lets a stage graph be torn down
  * front-to-back without losing in-flight work.
  *
+ * @p Order decides which buffered element a pop returns. It supplies only
+ * `put(T&&)`, `T take()` (called on a non-empty buffer) and `size()`; the
+ * queue owns every lock, wait, close and counter. FifoOrder gives arrival
+ * order; fleet::EdfQueue plugs in earliest-deadline-first.
+ *
  * All operations are linearizable under one internal mutex; the queue is
  * intended for frame-granularity work items (hundreds of thousands of ops
  * per second), not per-pixel traffic.
  */
-template <typename T>
+template <typename T, typename Order = FifoOrder<T>>
 class MpmcQueue
 {
   public:
@@ -182,108 +211,35 @@ class MpmcQueue
     size() const
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        return q_.size();
+        return order_.size();
     }
 
     /**
      * Block until space is available (or the queue closes), then enqueue.
      * @return false iff the queue was closed before the element fit.
      */
-    bool
-    push(T v)
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        if (q_.size() >= capacity_ && !closed_) {
-            ++stats_.push_waits;
-            not_full_.wait(lock, [&] {
-                return q_.size() < capacity_ || closed_;
-            });
-        }
-        if (closed_) {
-            ++stats_.rejected;
-            return false;
-        }
-        q_.push_back(std::move(v));
-        ++stats_.pushes;
-        if (q_.size() > stats_.high_water)
-            stats_.high_water = q_.size();
-        lock.unlock();
-        not_empty_.notify_one();
-        return true;
-    }
+    bool push(T v) { return insert(v, std::nullopt); }
 
     /**
-     * Like push(), but give up after @p timeout if no space opens. The
-     * element is returned-by-false in two distinct cases — closed queue
-     * (permanent, recorded in rejected) and timeout (transient, not
-     * recorded) — which callers can tell apart via closed().
+     * Like push(), but give up after @p timeout if no space opens. False
+     * has two distinct causes — closed queue (permanent, recorded in
+     * rejected) and timeout (transient, not recorded) — which callers can
+     * tell apart via closed().
      */
     bool
     pushFor(T v, std::chrono::microseconds timeout)
     {
-        std::unique_lock<std::mutex> lock(mutex_);
-        if (q_.size() >= capacity_ && !closed_) {
-            ++stats_.push_waits;
-            if (!not_full_.wait_for(lock, timeout, [&] {
-                    return q_.size() < capacity_ || closed_;
-                }))
-                return false; // timed out, still full
-        }
-        if (closed_) {
-            ++stats_.rejected;
-            return false;
-        }
-        q_.push_back(std::move(v));
-        ++stats_.pushes;
-        if (q_.size() > stats_.high_water)
-            stats_.high_water = q_.size();
-        lock.unlock();
-        not_empty_.notify_one();
-        return true;
+        return insert(v, timeout);
     }
 
     /** Non-blocking push; false when full or closed. */
-    bool
-    tryPush(T v)
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (closed_) {
-                ++stats_.rejected;
-                return false;
-            }
-            if (q_.size() >= capacity_)
-                return false;
-            q_.push_back(std::move(v));
-            ++stats_.pushes;
-            if (q_.size() > stats_.high_water)
-                stats_.high_water = q_.size();
-        }
-        not_empty_.notify_one();
-        return true;
-    }
+    bool tryPush(T v) { return insert(v, std::chrono::microseconds(0)); }
 
     /**
      * Block until an element is available or the queue is closed *and*
      * drained; nullopt signals the latter (the consumer should exit).
      */
-    std::optional<T>
-    pop()
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        if (q_.empty() && !closed_) {
-            ++stats_.pop_waits;
-            not_empty_.wait(lock, [&] { return !q_.empty() || closed_; });
-        }
-        if (q_.empty())
-            return std::nullopt; // closed and drained
-        T v = std::move(q_.front());
-        q_.pop_front();
-        ++stats_.pops;
-        lock.unlock();
-        not_full_.notify_one();
-        return v;
-    }
+    std::optional<T> pop() { return take(std::nullopt); }
 
     /**
      * Like pop(), but give up after @p timeout if nothing arrives. A
@@ -295,38 +251,11 @@ class MpmcQueue
     std::optional<T>
     popFor(std::chrono::microseconds timeout)
     {
-        std::unique_lock<std::mutex> lock(mutex_);
-        if (q_.empty() && !closed_) {
-            ++stats_.pop_waits;
-            if (!not_empty_.wait_for(lock, timeout, [&] {
-                    return !q_.empty() || closed_;
-                }))
-                return std::nullopt; // timed out, still empty
-        }
-        if (q_.empty())
-            return std::nullopt; // closed and drained
-        T v = std::move(q_.front());
-        q_.pop_front();
-        ++stats_.pops;
-        lock.unlock();
-        not_full_.notify_one();
-        return v;
+        return take(timeout);
     }
 
     /** Non-blocking pop; nullopt when nothing is buffered. */
-    std::optional<T>
-    tryPop()
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        if (q_.empty())
-            return std::nullopt;
-        T v = std::move(q_.front());
-        q_.pop_front();
-        ++stats_.pops;
-        lock.unlock();
-        not_full_.notify_one();
-        return v;
-    }
+    std::optional<T> tryPop() { return take(std::chrono::microseconds(0)); }
 
     /**
      * Stop accepting elements and wake every waiter. Idempotent. Buffered
@@ -358,11 +287,78 @@ class MpmcQueue
     }
 
   private:
+    /** No limit when unset; zero never waits (the try* ops). */
+    using Timeout = std::optional<std::chrono::microseconds>;
+
+    /**
+     * Wait on @p cv until @p ready() holds or the queue closes, counting
+     * the wait in @p waits. False iff the wait timed out (or a zero
+     * timeout found the queue not ready).
+     */
+    template <typename Ready>
+    bool
+    awaitLocked(std::unique_lock<std::mutex> &lock,
+                std::condition_variable &cv, Ready ready, Timeout timeout,
+                u64 &waits)
+    {
+        if (closed_ || ready())
+            return true;
+        if (timeout && timeout->count() == 0)
+            return false;
+        ++waits;
+        const auto done = [&] { return closed_ || ready(); };
+        if (!timeout) {
+            cv.wait(lock, done);
+            return true;
+        }
+        return cv.wait_for(lock, *timeout, done);
+    }
+
+    /** The insert-and-notify path of every push. */
+    bool
+    insert(T &v, Timeout timeout)
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        if (!awaitLocked(
+                lock, not_full_,
+                [this] { return order_.size() < capacity_; }, timeout,
+                stats_.push_waits))
+            return false; // timed out, still full
+        if (closed_) {
+            ++stats_.rejected;
+            return false;
+        }
+        order_.put(std::move(v));
+        ++stats_.pushes;
+        stats_.high_water = std::max(stats_.high_water, order_.size());
+        lock.unlock();
+        not_empty_.notify_one();
+        return true;
+    }
+
+    /** The take-and-notify path of every pop. */
+    std::optional<T>
+    take(Timeout timeout)
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        if (!awaitLocked(
+                lock, not_empty_, [this] { return order_.size() > 0; },
+                timeout, stats_.pop_waits))
+            return std::nullopt; // timed out, still empty
+        if (order_.size() == 0)
+            return std::nullopt; // closed and drained
+        std::optional<T> v(order_.take());
+        ++stats_.pops;
+        lock.unlock();
+        not_full_.notify_one();
+        return v;
+    }
+
     const size_t capacity_;
     mutable std::mutex mutex_;
     std::condition_variable not_full_;
     std::condition_variable not_empty_;
-    std::deque<T> q_;
+    Order order_;
     bool closed_ = false;
     MpmcQueueStats stats_;
 };

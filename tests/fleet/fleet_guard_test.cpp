@@ -302,7 +302,6 @@ TEST(FleetGuard, WatchdogEvictsWedgedStreamsWithoutHang)
     fc.guard.watchdog.enabled = true;
     fc.guard.watchdog.interval_ms = 5;
     fc.guard.watchdog.warn_ms = 15;
-    fc.guard.watchdog.quarantine_ms = 30;
     fc.guard.watchdog.evict_ms = 60;
 
     FleetServer server(fc);

@@ -4,10 +4,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "fleet/scheduler.hpp"
+#include "fleet/stream_context.hpp"
 
 namespace rpx::fleet {
 namespace {
@@ -62,6 +65,39 @@ TEST(EdfQueue, UrgentArrivalJumpsTheQueue)
     ASSERT_TRUE(q.push(taskWithDeadline(2, std::chrono::milliseconds(5))));
     EXPECT_EQ(q.pop()->index, 2);
     EXPECT_EQ(q.pop()->index, 0);
+}
+
+TEST(EdfQueue, EqualDeadlinesPopByStreamIdThenFrame)
+{
+    PipelineConfig pc;
+    pc.width = 16;
+    pc.height = 16;
+    StreamContext s3(pc, nullptr);
+    StreamContext s1(pc, nullptr);
+    s3.setId(3);
+    s1.setId(1);
+
+    for (const bool deadlines : {true, false}) {
+        SCOPED_TRACE(deadlines ? "equal deadlines" : "no deadlines");
+        EdfQueue q(8);
+        const std::pair<StreamContext *, u64> order[] = {
+            {&s3, 0}, {&s1, 2}, {&s1, 1}};
+        for (const auto &[stream, index] : order) {
+            FrameTask t = deadlines
+                              ? taskWithDeadline(index,
+                                                 std::chrono::milliseconds(7))
+                              : taskNoDeadline(index);
+            t.stream = stream;
+            ASSERT_TRUE(q.push(std::move(t)));
+        }
+        const std::pair<u32, FrameIndex> expected[] = {{1, 1}, {1, 2}, {3, 0}};
+        for (const auto &[id, index] : expected) {
+            const std::optional<FrameTask> t = q.pop();
+            ASSERT_TRUE(t.has_value());
+            EXPECT_EQ(t->stream->id(), id);
+            EXPECT_EQ(t->index, index);
+        }
+    }
 }
 
 TEST(EdfQueue, ZeroCapacityRejected)
