@@ -5,7 +5,6 @@
 
 #include "common/crc32.hpp"
 #include "common/error.hpp"
-#include "common/simd.hpp"
 
 namespace rpx {
 
@@ -47,6 +46,7 @@ RhythmicDecoder::refreshScratchpad()
     if (!stale)
         return;
     scratch_keys_.clear();
+    sources_.clear();
     while (scratch_.size() < store_.size())
         scratch_.push_back(std::make_unique<ScratchEntry>());
     for (size_t k = 0; k < store_.size(); ++k) {
@@ -61,7 +61,6 @@ RhythmicDecoder::refreshScratchpad()
         // staging and the slot's metadata storage are pooled, so a warm
         // refresh allocates nothing.
         ScratchEntry &e = *scratch_[k];
-        e.valid = false;
         EncodedFrame &meta = e.meta;
         meta.index = f->index;
         meta.width = f->width;
@@ -119,15 +118,16 @@ RhythmicDecoder::refreshScratchpad()
 
         if (!safe) {
             // Quarantine: keep the slot's position so frame tags still
-            // line up, but never address it (e.valid stays false).
+            // line up, but never address it (its source entry is null).
             ++stats_.frames_quarantined;
             if (obs_quarantined_)
                 obs_quarantined_->inc();
+            sources_.push_back({});
             continue;
         }
 
         e.cache.rebind(&meta);
-        e.valid = true;
+        sources_.push_back({&e.cache, meta.offsets.total()});
     }
 }
 
@@ -136,112 +136,33 @@ RhythmicDecoder::translateSegment(i32 y, i32 x0, i32 x1, size_t base,
                                   std::vector<SubRequest> &subs,
                                   std::vector<u8> &result)
 {
-    ScratchEntry *cur = scratch_[0]->valid ? scratch_[0].get() : nullptr;
-    if (!cur) {
-        // A quarantined newest frame has no trustworthy mask: treat every
-        // pixel like a temporally skipped one and look to history.
-        for (i32 x = x0; x < x1; ++x)
-            translateFallback(x, y, base + static_cast<size_t>(x - x0),
-                              subs, result);
-        return;
-    }
-
-    const EncodedFrame &current = cur->meta;
-    const size_t w = static_cast<size_t>(current.width);
-    const size_t seg = static_cast<size_t>(x1 - x0);
-    std::vector<u8> &codes = arena_.bytes(kRowCodes, seg);
-    simd::unpackMask2bpp(current.mask.bytes().data(),
-                         static_cast<size_t>(y) * w +
-                             static_cast<size_t>(x0),
-                         seg, codes.data());
-
-    // In-row R tracker (the Translator's fast path): r_count is the R
-    // prefix at the cursor and last_off the payload offset of the nearest
-    // R at or left of it. Seeded from the prefix cache so mid-row entry
-    // points resolve exactly like the per-pixel walk; the offset of the
-    // r_count'th R in the row is row_off + r_count - 1 by construction.
-    const u32 row_off = current.offsets.offsetOf(y);
-    const u32 total = current.offsets.total();
-    u32 r_count = cur->cache.encodedBefore(x0, y);
-    bool have_r = r_count > 0;
-    u32 last_off = have_r ? row_off + r_count - 1 : 0;
-
-    for (i32 x = x0; x < x1; ++x) {
-        const size_t pos = base + static_cast<size_t>(x - x0);
-        const PixelCode code = static_cast<PixelCode>(
-            codes[static_cast<size_t>(x - x0)]);
-        if (code == PixelCode::N) {
-            result[pos] = config_.black_value;
-            ++stats_.black_pixels;
-            continue;
-        }
-        if (code == PixelCode::R || code == PixelCode::St) {
-            // Intra-frame: resolve via the resampling rules of the FIFO
-            // sampling unit (§4.2.2). The offset bound is a no-op for
-            // consistent frames; it only bites when an unsealed store
-            // let a mask/offset mismatch through validation.
-            bool resolved = false;
-            u32 offset = 0;
-            if (code == PixelCode::R) {
-                offset = row_off + r_count;
-                ++r_count;
-                have_r = true;
-                last_off = offset;
-                resolved = true;
-            } else if (have_r) {
-                offset = last_off;
-                resolved = true;
-            } else {
-                // St with no in-row R at-or-left: the generic upscan
-                // walk (its dy == 0 probe finds nothing by construction,
-                // so the answers coincide with the reference).
-                auto src = findPixelSource(cur->cache, x, y,
-                                           config_.max_upscan);
-                if (src) {
-                    offset = src->offset;
-                    resolved = true;
-                }
+    // The FIFO sampling unit's resampling rules (§4.2.2) via the shared
+    // resolver; a quarantined newest frame sends every pixel to history.
+    u8 *codes =
+        sources_[0].cache
+            ? arena_.bytes(kRowCodes, static_cast<size_t>(x1 - x0)).data()
+            : nullptr;
+    resolveSegment(
+        sources_, y, x0, x1, config_.max_upscan, codes,
+        [&](i32 x, PixelCode code, const ResolvedSource &src) {
+            const size_t pos = base + static_cast<size_t>(x - x0);
+            if (src.frame == ResolvedSource::kBlack) {
+                result[pos] = config_.black_value;
+                ++stats_.black_pixels;
+                if (code != PixelCode::N)
+                    ++stats_.history_misses;
+                return;
             }
-            if (resolved && offset < total) {
-                subs.push_back({0, offset, pos});
+            subs.push_back({src.frame, static_cast<u32>(src.offset), pos});
+            if (src.frame == 0) {
                 ++stats_.sub_requests_intra;
                 if (code == PixelCode::St)
                     ++stats_.resampled_pixels;
-                continue;
+            } else {
+                ++stats_.sub_requests_inter;
+                ++stats_.history_hits;
             }
-            // An St pixel with no reachable R in this frame falls back
-            // to history the same way a skipped pixel does.
-        }
-        translateFallback(x, y, pos, subs, result);
-    }
-}
-
-void
-RhythmicDecoder::translateFallback(i32 x, i32 y, size_t result_pos,
-                                   std::vector<SubRequest> &subs,
-                                   std::vector<u8> &result)
-{
-    // Sk (or unresolvable St): search the recently stored encoded frames.
-    for (size_t k = 1; k < scratchCount(); ++k) {
-        if (!scratch_[k]->valid)
-            continue; // quarantined history frame
-        const EncodedFrame &past = scratch_[k]->meta;
-        const PixelCode pcode = past.mask.at(x, y);
-        if (pcode != PixelCode::R && pcode != PixelCode::St)
-            continue;
-        auto src = findPixelSource(scratch_[k]->cache, x, y,
-                                   config_.max_upscan);
-        if (src && src->offset < past.offsets.total()) {
-            subs.push_back({k, src->offset, result_pos});
-            ++stats_.sub_requests_inter;
-            ++stats_.history_hits;
-            return;
-        }
-    }
-
-    result[result_pos] = config_.black_value;
-    ++stats_.history_misses;
-    ++stats_.black_pixels;
+        });
 }
 
 void

@@ -17,6 +17,10 @@
  *    pixel values — dequeuing R pixels, re-sampling a neighbouring pixel for
  *    strided (St) pixels via the resampling buffer, fetching history frames
  *    for skipped (Sk) pixels, and emitting black for non-regional (N) ones.
+ *
+ * Which frame and payload offset serve each pixel is decided by
+ * resolveSegment() (encoded_frame.hpp), the rule SoftwareDecoder shares;
+ * this decoder turns each answer into a DRAM sub-request or a black value.
  */
 
 #ifndef RPX_CORE_DECODER_HPP
@@ -150,21 +154,12 @@ class RhythmicDecoder
 
     /**
      * Translate the in-row pixel run [x0, x1) of row y, whose values land
-     * at result[base ..]. Runs the vectorised row scan: codes are
-     * unpacked once through the SIMD shim and R/St offsets come from a
-     * running in-row R tracker, reproducing the per-pixel
-     * findPixelSource walk exactly (see SoftwareDecoder's fast-path
-     * notes); pixels it cannot answer in-row take translateFallback.
+     * at result[base ..]: resolveSegment() over the scratchpad picks each
+     * pixel's source, which becomes a sub-request or a black value.
      */
     void translateSegment(i32 y, i32 x0, i32 x1, size_t base,
                           std::vector<SubRequest> &subs,
                           std::vector<u8> &result);
-
-    /** The history walk for one pixel: serves Sk pixels, unresolvable St
-     *  pixels, and every pixel of a quarantined newest frame. */
-    void translateFallback(i32 x, i32 y, size_t result_pos,
-                           std::vector<SubRequest> &subs,
-                           std::vector<u8> &result);
 
     /** Issue coalesced DRAM reads for the sub-requests and fill results. */
     void fulfill(std::vector<SubRequest> &subs, std::vector<u8> &result);
@@ -187,11 +182,12 @@ class RhythmicDecoder
     /**
      * One metadata-scratchpad slot: the EncMask/RowOffsets reconstructed
      * from DRAM bytes (pixel payloads stay in DRAM; meta.pixels stays
-     * empty) plus a prefix cache for fast in-row queries. `valid` is
-     * false when the fetched metadata failed its safety checks (bounds
-     * validation, or the CRC when the store seals metadata): the frame
-     * is quarantined — never addressed — and requests against it fall
-     * back to history or black instead of chasing corrupt offsets.
+     * empty) plus a prefix cache for fast in-row queries. A slot whose
+     * fetched metadata failed its safety checks (bounds validation, or
+     * the CRC when the store seals metadata) is quarantined: its
+     * sources_ entry is unusable, so it is never addressed and requests
+     * against it fall back to history or black instead of chasing
+     * corrupt offsets.
      * Entries are pooled across refreshes (unique_ptr keeps them
      * address-stable while the pool grows) so a warm refresh reuses all
      * metadata storage instead of reallocating it per frame.
@@ -199,15 +195,14 @@ class RhythmicDecoder
     struct ScratchEntry {
         EncodedFrame meta;
         MaskPrefixCache cache;
-        bool valid = false;
     };
 
-    /** Slot pool; the first scratchCount() entries mirror the store. */
+    /** Slot pool; the first scratch_keys_.size() entries mirror the store. */
     std::vector<std::unique_ptr<ScratchEntry>> scratch_;
     /** Stored frames the scratchpad currently mirrors (also the count). */
     std::vector<ScratchKey> scratch_keys_;
-
-    size_t scratchCount() const { return scratch_keys_.size(); }
+    /** The resolver's view of the mirrored frames, newest first. */
+    std::vector<SourceFrame> sources_;
 
     void refreshScratchpad();
 

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/simd.hpp"
 #include "common/types.hpp"
 #include "core/encmask.hpp"
 
@@ -162,6 +163,108 @@ class MaskPrefixCache
  */
 std::optional<PixelSource> findPixelSource(MaskPrefixCache &cache, i32 x,
                                            i32 y, int max_upscan = 64);
+
+/**
+ * A frame the segment resolver may source from. A null `cache` marks it
+ * unusable (quarantined or failing validation). A derived payload offset
+ * at or past `limit` is out of range and demotes the pixel to the next
+ * rule: SoftwareDecoder bounds by the payload size, RhythmicDecoder (whose
+ * payload stays in DRAM) by the offset table total.
+ */
+struct SourceFrame {
+    MaskPrefixCache *cache = nullptr;
+    size_t limit = 0;
+};
+
+/** A decoded pixel's source: payload[offset] of frames[frame], or black. */
+struct ResolvedSource {
+    static constexpr size_t kBlack = static_cast<size_t>(-1);
+    size_t frame = kBlack;
+    size_t offset = 0;
+};
+
+/**
+ * The history rule for one pixel: the first usable frames[k], k >= 1,
+ * that sampled (x, y) (R or St) and whose findPixelSource answer is in
+ * range; black when none is.
+ */
+inline ResolvedSource
+resolveFromHistory(const std::vector<SourceFrame> &frames, i32 x, i32 y,
+                   int max_upscan)
+{
+    for (size_t k = 1; k < frames.size(); ++k) {
+        MaskPrefixCache *cache = frames[k].cache;
+        if (!cache)
+            continue;
+        const PixelCode code = cache->frame().mask.at(x, y);
+        if (code != PixelCode::R && code != PixelCode::St)
+            continue;
+        const auto src = findPixelSource(*cache, x, y, max_upscan);
+        if (src && src->offset < frames[k].limit)
+            return ResolvedSource{k, src->offset};
+    }
+    return ResolvedSource{};
+}
+
+/**
+ * The pixel-source rule of the FIFO sampling unit (§4.2.2) for the row
+ * segment [x0, x1) of row y, over the newest frame frames[0] and history
+ * frames[1..] (most recent first); both decoders share it. R sources
+ * itself and St the nearest R at or left of it, both answered by an
+ * in-row R count (seeded from the prefix cache when x0 > 0), else by the
+ * findPixelSource upscan. Sk, out-of-range sources and every pixel of an
+ * unusable frames[0] take resolveFromHistory(); N is black. `codes` is
+ * scratch for x1 - x0 mask codes (may be null if frames[0] is unusable).
+ * Calls sink(x, code, source) left to right; code is frames[0]'s code, or
+ * Sk when frames[0] is unusable.
+ */
+template <class Sink>
+void
+resolveSegment(const std::vector<SourceFrame> &frames, i32 y, i32 x0,
+               i32 x1, int max_upscan, u8 *codes, Sink &&sink)
+{
+    const SourceFrame &cur = frames[0];
+    if (!cur.cache) {
+        for (i32 x = x0; x < x1; ++x)
+            sink(x, PixelCode::Sk,
+                 resolveFromHistory(frames, x, y, max_upscan));
+        return;
+    }
+    const EncodedFrame &f = cur.cache->frame();
+    simd::unpackMask2bpp(f.mask.bytes().data(),
+                         static_cast<size_t>(y) * f.width + x0,
+                         static_cast<size_t>(x1 - x0), codes);
+    // The r_count'th R of the row sits at row_off + r_count - 1.
+    const size_t row_off = f.offsets.offsetOf(y);
+    u32 r_count = x0 > 0 ? cur.cache->encodedBefore(x0, y) : 0;
+    size_t last_off = r_count > 0 ? row_off + r_count - 1 : 0;
+    for (i32 x = x0; x < x1; ++x) {
+        const PixelCode code = static_cast<PixelCode>(codes[x - x0]);
+        if (code == PixelCode::N) {
+            sink(x, code, ResolvedSource{});
+            continue;
+        }
+        if (code != PixelCode::Sk) {
+            bool found = true;
+            size_t offset = last_off;
+            if (code == PixelCode::R) {
+                offset = last_off = row_off + r_count++;
+            } else if (r_count == 0) {
+                // St with no R at or left in the row: the upscan walk
+                // (its dy == 0 probe finds nothing, so answers coincide).
+                const auto up = findPixelSource(*cur.cache, x, y,
+                                                max_upscan);
+                found = up.has_value();
+                offset = found ? up->offset : 0;
+            }
+            if (found && offset < cur.limit) {
+                sink(x, code, ResolvedSource{0, offset});
+                continue;
+            }
+        }
+        sink(x, code, resolveFromHistory(frames, x, y, max_upscan));
+    }
+}
 
 } // namespace rpx
 

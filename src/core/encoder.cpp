@@ -114,77 +114,81 @@ RhythmicEncoder::buildShortlist(i32 row, FrameIndex t,
     }
 }
 
+template <class Fn>
+void
+RhythmicEncoder::sweepSpans(const std::vector<ShortlistEntry> &shortlist,
+                            SpanScratch &scratch, Fn &&fn) const
+{
+    // Boundary sweep: split the row into spans with a constant covering set
+    // of shortlisted regions. Within a span only x-stride checks vary, which
+    // is exactly the locality the hardware sampler exploits.
+    const i32 w = frame_w_;
+    std::vector<i32> &edges = scratch.edges;
+    edges.clear();
+    edges.push_back(0);
+    edges.push_back(w);
+    for (const auto &e : shortlist) {
+        const i32 lo = std::clamp(e.region->x, 0, w);
+        const i32 hi = std::clamp(e.region->x + e.region->w, 0, w);
+        if (lo < hi) {
+            edges.push_back(lo);
+            edges.push_back(hi);
+        }
+    }
+    std::sort(edges.begin(), edges.end());
+    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+
+    for (size_t s = 0; s + 1 < edges.size(); ++s) {
+        Span span{edges[s], edges[s + 1], false, false, nullptr,
+                  scratch.grid};
+        scratch.grid.clear();
+        for (const auto &e : shortlist) {
+            if (span.a < e.region->x || span.a >= e.region->x + e.region->w)
+                continue;
+            span.covered = true;
+            if (!e.active)
+                continue;
+            span.active = true;
+            if (e.row_on_stride) {
+                scratch.grid.push_back(e.region);
+                if (e.region->stride == 1 && !span.stride1)
+                    span.stride1 = e.region;
+            }
+        }
+        fn(span);
+    }
+}
+
 RhythmicEncoder::FrameSummary
 RhythmicEncoder::summarizeFrame(FrameIndex t) const
 {
     FrameSummary sum;
-    const i32 w = frame_w_;
     std::vector<ShortlistEntry> shortlist;
-    std::vector<i32> edges;
+    SpanScratch scratch;
 
     for (i32 y = 0; y < frame_h_; ++y) {
         buildShortlist(y, t, shortlist, nullptr);
-        if (shortlist.empty()) {
-            sum.n += static_cast<u64>(w);
-            continue;
-        }
-        edges.clear();
-        edges.push_back(0);
-        edges.push_back(w);
-        for (const auto &e : shortlist) {
-            const i32 lo = std::clamp(e.region->x, 0, w);
-            const i32 hi = std::clamp(e.region->x + e.region->w, 0, w);
-            if (lo < hi) {
-                edges.push_back(lo);
-                edges.push_back(hi);
-            }
-        }
-        std::sort(edges.begin(), edges.end());
-        edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-
-        for (size_t s = 0; s + 1 < edges.size(); ++s) {
-            const i32 a = edges[s];
-            const i32 b = edges[s + 1];
-            const u64 span = static_cast<u64>(b - a);
-
-            bool any_cover = false;
-            bool any_active = false;
-            bool stride1 = false;
-            std::vector<const RegionLabel *> grid;
-            for (const auto &e : shortlist) {
-                const i32 lo = e.region->x;
-                const i32 hi = e.region->x + e.region->w;
-                if (a < lo || a >= hi)
-                    continue;
-                any_cover = true;
-                if (e.active) {
-                    any_active = true;
-                    if (e.row_on_stride) {
-                        grid.push_back(e.region);
-                        if (e.region->stride == 1)
-                            stride1 = true;
-                    }
-                }
-            }
-            if (!any_cover) {
+        sweepSpans(shortlist, scratch, [&sum](const Span &s) {
+            const u64 span = static_cast<u64>(s.b - s.a);
+            if (!s.covered) {
                 sum.n += span;
-                continue;
+                return;
             }
             u64 r_count = 0;
-            if (stride1) {
+            if (s.stride1) {
                 r_count = span;
-            } else if (grid.size() == 1) {
+            } else if (s.grid.size() == 1) {
                 // Count multiples of the stride inside [a, b).
-                const i32 s0 = grid[0]->stride;
-                const i32 rx = grid[0]->x;
-                const i32 rem = ((a - rx) % s0 + s0) % s0;
-                const i32 first = rem == 0 ? a : a + (s0 - rem);
-                if (first < b)
-                    r_count = static_cast<u64>((b - 1 - first) / s0) + 1;
-            } else if (!grid.empty()) {
+                const i32 s0 = s.grid[0]->stride;
+                const i32 rx = s.grid[0]->x;
+                const i32 rem = ((s.a - rx) % s0 + s0) % s0;
+                const i32 first = rem == 0 ? s.a : s.a + (s0 - rem);
+                if (first < s.b)
+                    r_count = static_cast<u64>((s.b - 1 - first) / s0) + 1;
+            } else if (!s.grid.empty()) {
                 // Rare overlap of several strided grids: exact per-pixel.
-                for (i32 x = a; x < b; ++x) {
-                    for (const RegionLabel *g : grid) {
+                for (i32 x = s.a; x < s.b; ++x) {
+                    for (const RegionLabel *g : s.grid) {
                         if ((x - g->x) % g->stride == 0) {
                             ++r_count;
                             break;
@@ -193,11 +197,11 @@ RhythmicEncoder::summarizeFrame(FrameIndex t) const
                 }
             }
             sum.r += r_count;
-            if (any_active)
+            if (s.active)
                 sum.st += span - r_count;
             else
                 sum.sk += span - r_count;
-        }
+        });
     }
     sum.metadata_bytes =
         (static_cast<Bytes>(frame_w_) * frame_h_ * 2 + 7) / 8 +
@@ -225,12 +229,11 @@ RhythmicEncoder::chargeRowCycles(u64 row_comparisons,
 void
 RhythmicEncoder::encodeRow(const Image &gray, i32 y,
                            const std::vector<ShortlistEntry> &shortlist,
-                           EncMask &mask, i32 mask_y, std::vector<u8> &pixels,
-                           u32 &row_count, EncoderStats &stats,
-                           RegionAttribution *attr) const
+                           SpanScratch &scratch, EncMask &mask, i32 mask_y,
+                           std::vector<u8> &pixels, u32 &row_count,
+                           EncoderStats &stats, RegionAttribution *attr) const
 {
     row_count = 0;
-    const i32 w = frame_w_;
     const u8 *row = gray.row(y);
 
     // Attribution slot for a shortlist/grid pointer (they point into
@@ -239,70 +242,17 @@ RhythmicEncoder::encodeRow(const Image &gray, i32 y,
         return static_cast<size_t>(r - regions_.data());
     };
 
-    if (shortlist.empty()) {
+    // A region-free row is a single uncovered span: it still streams
+    // through the sequencer, and the naive engine still checks every
+    // region against each of its pixels.
+    if (shortlist.empty())
         ++stats.rows_skipped;
-        u64 row_comparisons = 0;
-        if (config_.mode == ComparisonMode::Naive) {
-            // The naive engine still checks every region for every pixel
-            // of a region-free row; that work occupies engine cycles too.
-            row_comparisons =
-                static_cast<u64>(regions_.size()) * static_cast<u64>(w);
-            if (attr) {
-                for (size_t i = 0; i < regions_.size(); ++i)
-                    attr->comparisons[i] += static_cast<u64>(w);
-            }
-        }
-        stats.region_comparisons += row_comparisons;
-        chargeRowCycles(row_comparisons, stats);
-        // Mask rows default to N; nothing to emit.
-        return;
-    }
-    ++stats.rows_with_regions;
-
-    // Boundary sweep: split the row into spans with a constant covering set
-    // of shortlisted regions. Within a span only x-stride checks vary, which
-    // is exactly the locality the hardware sampler exploits.
-    std::vector<i32> edges;
-    edges.reserve(shortlist.size() * 2 + 2);
-    edges.push_back(0);
-    edges.push_back(w);
-    for (const auto &e : shortlist) {
-        const i32 lo = std::clamp(e.region->x, 0, w);
-        const i32 hi = std::clamp(e.region->x + e.region->w, 0, w);
-        if (lo < hi) {
-            edges.push_back(lo);
-            edges.push_back(hi);
-        }
-    }
-    std::sort(edges.begin(), edges.end());
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+    else
+        ++stats.rows_with_regions;
 
     u64 row_comparisons = 0;
-    for (size_t s = 0; s + 1 < edges.size(); ++s) {
-        const i32 a = edges[s];
-        const i32 b = edges[s + 1];
-        const i32 span = b - a;
-
-        // Covering set for this span.
-        bool any_cover = false;
-        bool any_active = false;
-        const RegionLabel *stride1_region = nullptr;
-        std::vector<const RegionLabel *> grid_regions;
-        for (const auto &e : shortlist) {
-            const i32 lo = e.region->x;
-            const i32 hi = e.region->x + e.region->w;
-            if (a < lo || a >= hi)
-                continue;
-            any_cover = true;
-            if (e.active) {
-                any_active = true;
-                if (e.row_on_stride) {
-                    grid_regions.push_back(e.region);
-                    if (e.region->stride == 1 && !stride1_region)
-                        stride1_region = e.region;
-                }
-            }
-        }
+    sweepSpans(shortlist, scratch, [&](const Span &s) {
+        const i32 span = s.b - s.a;
 
         // Work accounting by mode. One sublist scan happens per span
         // (hybrid), per pixel (row-sublist), or against the full region
@@ -332,35 +282,34 @@ RhythmicEncoder::encodeRow(const Image &gray, i32 y,
                 for (const auto &e : shortlist)
                     attr->comparisons[slot(e.region)] += 1;
             }
-            if (span > 1)
+            // No shortlisted region, no comparison result to reuse.
+            if (span > 1 && !shortlist.empty())
                 stats.run_reuses += static_cast<u64>(span - 1);
             break;
         }
 
-        if (!any_cover)
-            continue; // span stays N
+        if (!s.covered)
+            return; // span stays N
 
-        const PixelCode base =
-            any_active ? PixelCode::St : PixelCode::Sk;
-
-        if (stride1_region) {
+        if (s.stride1) {
             // Fast path: the entire span is R; attribution claims it for
             // the first stride-1 region covering the span (deterministic,
             // and independent of which overlapping grid happens to match
             // a given x first).
-            for (i32 x = a; x < b; ++x) {
+            for (i32 x = s.a; x < s.b; ++x) {
                 mask.set(x, mask_y, PixelCode::R);
                 pixels.push_back(row[x]);
                 ++row_count;
             }
             if (attr)
-                attr->kept[slot(stride1_region)] += static_cast<u64>(span);
-            continue;
+                attr->kept[slot(s.stride1)] += static_cast<u64>(span);
+            return;
         }
 
-        for (i32 x = a; x < b; ++x) {
+        const PixelCode base = s.active ? PixelCode::St : PixelCode::Sk;
+        for (i32 x = s.a; x < s.b; ++x) {
             PixelCode code = base;
-            for (const RegionLabel *r : grid_regions) {
+            for (const RegionLabel *r : s.grid) {
                 if (config_.mode == ComparisonMode::Hybrid) {
                     ++row_comparisons;
                     if (attr)
@@ -373,14 +322,13 @@ RhythmicEncoder::encodeRow(const Image &gray, i32 y,
                     break;
                 }
             }
-            if (code != PixelCode::N)
-                mask.set(x, mask_y, code);
+            mask.set(x, mask_y, code);
             if (code == PixelCode::R) {
                 pixels.push_back(row[x]);
                 ++row_count;
             }
         }
-    }
+    });
 
     stats.region_comparisons += row_comparisons;
     chargeRowCycles(row_comparisons, stats);
@@ -402,10 +350,11 @@ RhythmicEncoder::encodeBand(const Image &gray, FrameIndex t, i32 y0, i32 y1,
     RegionAttribution *attr = attribute_regions_ ? &out.attr : nullptr;
 
     std::vector<ShortlistEntry> shortlist;
+    SpanScratch scratch;
     for (i32 y = y0; y < y1; ++y) {
         buildShortlist(y, t, shortlist, &out.work);
         u32 row_count = 0;
-        encodeRow(gray, y, shortlist, out.mask, y - y0, out.pixels,
+        encodeRow(gray, y, shortlist, scratch, out.mask, y - y0, out.pixels,
                   row_count, out.work, attr);
         out.row_counts[static_cast<size_t>(y - y0)] = row_count;
     }

@@ -19,6 +19,10 @@
  * Functional output is identical across comparison modes; the modes differ
  * in the *work accounting* (comparison counts, cycles), which is what the
  * paper's scalability evaluation (Table 5 and §6.2/§6.3) is about.
+ *
+ * encodeFrame() and summarizeFrame() split each row into spans through one
+ * sweep (sweepSpans). classify() and StreamingEncoder stay independent of
+ * it: they are the per-pixel references the identity tests compare against.
  */
 
 #ifndef RPX_CORE_ENCODER_HPP
@@ -263,15 +267,39 @@ class RhythmicEncoder
     void buildShortlist(i32 row, FrameIndex t,
                         std::vector<ShortlistEntry> &out,
                         EncoderStats *stats) const;
+    /** A run of a row over which the covering set is constant. */
+    struct Span {
+        i32 a, b;     //!< columns [a, b)
+        bool covered; //!< some shortlisted region covers the span
+        bool active;  //!< some covering region samples this frame
+        /** First active on-stride stride-1 cover (attribution's owner). */
+        const RegionLabel *stride1;
+        /** Active covers on this row's stride, in shortlist order. */
+        const std::vector<const RegionLabel *> &grid;
+    };
+    /** Span sweep storage, reused from row to row. */
+    struct SpanScratch {
+        std::vector<i32> edges;
+        std::vector<const RegionLabel *> grid;
+    };
+
+    /**
+     * The one span sweep behind encodeRow() and summarizeFrame(): call
+     * fn(const Span &) for each span of the row, left to right, covered
+     * or not.
+     */
+    template <class Fn>
+    void sweepSpans(const std::vector<ShortlistEntry> &shortlist,
+                    SpanScratch &scratch, Fn &&fn) const;
     /**
      * Encode one row into a band-local mask/payload. `mask_y` is the row's
      * position inside `mask` (bands rebase their rows to 0).
      */
     void encodeRow(const Image &gray, i32 y,
                    const std::vector<ShortlistEntry> &shortlist,
-                   EncMask &mask, i32 mask_y, std::vector<u8> &pixels,
-                   u32 &row_count, EncoderStats &stats,
-                   RegionAttribution *attr) const;
+                   SpanScratch &scratch, EncMask &mask, i32 mask_y,
+                   std::vector<u8> &pixels, u32 &row_count,
+                   EncoderStats &stats, RegionAttribution *attr) const;
     /** Per-row cycle model: stream time vs comparison-engine time. */
     void chargeRowCycles(u64 row_comparisons, EncoderStats &stats) const;
 

@@ -1,7 +1,6 @@
 #include "core/sw_decoder.hpp"
 
 #include "common/error.hpp"
-#include "common/simd.hpp"
 
 namespace rpx {
 
@@ -17,91 +16,82 @@ SoftwareDecoder::decodeCoreInto(
     const std::vector<const EncodedFrame *> &history, i32 y0, i32 y1,
     Image &out) const
 {
-    cache_cur_.rebind(&current);
-    while (hist_cache_pool_.size() < history.size())
-        hist_cache_pool_.emplace_back();
-    for (size_t k = 0; k < history.size(); ++k)
-        hist_cache_pool_[k].rebind(history[k]);
-
+    // caches_[0] serves the current frame, caches_[k] history[k - 1].
+    // validate() keeps the offset table inside the payload, but a corrupt
+    // mask can still disagree with it, so each frame's payload size bounds
+    // every derived index: an out-of-range source falls back, unread.
+    while (caches_.size() < history.size() + 1)
+        caches_.emplace_back();
+    caches_[0].rebind(&current);
+    sources_.assign(1, {&caches_[0], current.pixels.size()});
+    for (size_t k = 0; k < history.size(); ++k) {
+        caches_[k + 1].rebind(history[k]);
+        sources_.push_back({&caches_[k + 1], history[k]->pixels.size()});
+    }
     last_history_fills_ = 0;
     last_black_ = 0;
-
-    // Payload bounds: validate() guarantees the row-offset table stays
-    // inside [0, pixels.size()], but a corrupt mask can still disagree
-    // with the offsets, so every derived payload index is range-checked
-    // before the read — an out-of-range source demotes the pixel to the
-    // history/black fallback instead of reading out of bounds.
-    const size_t cur_limit = current.pixels.size();
-    const size_t w = static_cast<size_t>(current.width);
-    row_codes_.resize(w);
-
+    if (!config_.fast_path) {
+        referenceWalk(current, history, y0, y1, out);
+        return;
+    }
+    row_codes_.resize(static_cast<size_t>(current.width));
     for (i32 y = y0; y < y1; ++y) {
         u8 *row = out.row(y);
-        simd::unpackMask2bpp(current.mask.bytes().data(),
-                             static_cast<size_t>(y) * w, w,
-                             row_codes_.data());
-        // In-row R tracker for the fast path: r_count is the R prefix at
-        // the cursor, last_off the payload offset of the nearest R at or
-        // left of it. Both reproduce findPixelSource's dy == 0 answer
-        // exactly; pixels it cannot answer take the identical legacy walk.
-        const u32 row_off = current.offsets.offsetOf(y);
-        u32 r_count = 0;
-        bool have_r = false;
-        size_t last_off = 0;
+        resolveSegment(
+            sources_, y, 0, current.width, config_.max_upscan,
+            row_codes_.data(),
+            [&](i32 x, PixelCode, const ResolvedSource &src) {
+                if (src.frame == ResolvedSource::kBlack) {
+                    ++last_black_; // already black
+                } else if (src.frame == 0) {
+                    row[x] = current.pixels[src.offset];
+                } else {
+                    row[x] = history[src.frame - 1]->pixels[src.offset];
+                    ++last_history_fills_;
+                }
+            });
+    }
+}
+
+void
+SoftwareDecoder::referenceWalk(
+    const EncodedFrame &current,
+    const std::vector<const EncodedFrame *> &history, i32 y0, i32 y1,
+    Image &out) const
+{
+    // Every regional pixel asks findPixelSource on its own: no in-row
+    // tracker and no shared resolver, so the fast path has an oracle
+    // that does not run its code.
+    for (i32 y = y0; y < y1; ++y) {
+        u8 *row = out.row(y);
         for (i32 x = 0; x < current.width; ++x) {
-            const PixelCode code =
-                static_cast<PixelCode>(row_codes_[static_cast<size_t>(x)]);
+            const PixelCode code = current.mask.at(x, y);
             if (code == PixelCode::N) {
                 ++last_black_;
                 continue; // already black
             }
             if (code == PixelCode::R || code == PixelCode::St) {
-                bool resolved = false;
-                size_t offset = 0;
-                if (config_.fast_path) {
-                    if (code == PixelCode::R) {
-                        offset = static_cast<size_t>(row_off) + r_count;
-                        ++r_count;
-                        have_r = true;
-                        last_off = offset;
-                        resolved = true;
-                    } else if (have_r) {
-                        offset = last_off;
-                        resolved = true;
-                    }
-                }
-                if (!resolved) {
-                    // St with no in-row R at-or-left (or the reference
-                    // path): generic upscan walk. For the fast path the
-                    // dy == 0 probe finds nothing by construction, so the
-                    // answers coincide.
-                    auto src = findPixelSource(cache_cur_, x, y,
-                                               config_.max_upscan);
-                    if (src) {
-                        offset = src->offset;
-                        resolved = true;
-                    }
-                }
-                if (resolved && offset < cur_limit) {
-                    row[x] = current.pixels[offset];
+                auto src =
+                    findPixelSource(caches_[0], x, y, config_.max_upscan);
+                if (src && src->offset < current.pixels.size()) {
+                    row[x] = current.pixels[src->offset];
                     continue;
                 }
             }
             // Sk (or unresolvable St): most recent history frame that
             // sampled this pixel wins.
             bool filled = false;
-            for (size_t k = 0; k < history.size(); ++k) {
+            for (size_t k = 0; k < history.size() && !filled; ++k) {
                 const EncodedFrame &past = *history[k];
                 const PixelCode pcode = past.mask.at(x, y);
                 if (pcode != PixelCode::R && pcode != PixelCode::St)
                     continue;
-                auto src = findPixelSource(hist_cache_pool_[k], x, y,
+                auto src = findPixelSource(caches_[k + 1], x, y,
                                            config_.max_upscan);
                 if (src && src->offset < past.pixels.size()) {
                     row[x] = past.pixels[src->offset];
                     ++last_history_fills_;
                     filled = true;
-                    break;
                 }
             }
             if (!filled)

@@ -3,8 +3,7 @@
  * The alternative software decoder (§5.1): reconstructs a whole frame from
  * an encoded frame plus history on the CPU. Used by workloads that want a
  * full frame-based image (our from-scratch stand-in for the paper's
- * C++/OpenCV software decoder), and as the reference the hardware decoder
- * is differential-tested against.
+ * C++/OpenCV software decoder).
  *
  * Two entry points share one bounds-checked core:
  *  - decode()/decodeInto(): the strict path — throws on malformed input
@@ -15,18 +14,14 @@
  *    of throwing, and silently skips unusable history frames, so a
  *    pipeline facing injected or real faults keeps producing frames.
  *
- * The core runs a row-run fast path by default: each row's 2-bit codes are
- * expanded once through the SIMD shim and R/St pixels are resolved with a
- * running in-row R tracker, falling back to the generic upscan walk only
- * for pixels whose source is not in the current row. The fast path is
- * byte-identical to the reference per-pixel walk by construction (an R
- * pixel's payload offset is exactly row_offset + in-row R prefix; an St
- * pixel with an in-row R at-or-left resolves to that R's offset; anything
- * else takes the identical legacy path); set Config::fast_path = false to
- * run the reference walk itself — the identity suite compares the two.
+ * The core takes each pixel's source from resolveSegment()
+ * (encoded_frame.hpp), the rule the hardware decoder shares, one row at a
+ * time. Config::fast_path = false runs the independent reference instead:
+ * a per-pixel findPixelSource walk that shares no code with the resolver,
+ * which the identity tests compare both decoders against.
  *
- * Decode scratch state (prefix caches, row code buffers, history filters)
- * is pooled in the instance, so steady-state decoding performs zero heap
+ * Decode scratch state (prefix caches, row code buffers, source lists) is
+ * pooled in the instance, so steady-state decoding performs zero heap
  * allocations (asserted by tests/core/decode_alloc_test.cpp). The flip
  * side: a SoftwareDecoder instance is NOT safe for concurrent use — give
  * each thread its own (ParallelDecoder does exactly that per band).
@@ -61,9 +56,8 @@ class SoftwareDecoder
         u8 black_value = 0;
         int max_upscan = 64;
         /**
-         * Use the vectorised row-run core (byte-identical to the
-         * reference walk). false = run the reference per-pixel walk,
-         * kept for differential testing.
+         * Decode through resolveSegment(). false = run the per-pixel
+         * reference walk, kept for differential testing.
          */
         bool fast_path = true;
     };
@@ -138,6 +132,10 @@ class SoftwareDecoder
     void decodeCoreInto(const EncodedFrame &current,
                         const std::vector<const EncodedFrame *> &history,
                         i32 y0, i32 y1, Image &out) const;
+    /** The Config::fast_path = false per-pixel reference walk. */
+    void referenceWalk(const EncodedFrame &current,
+                       const std::vector<const EncodedFrame *> &history,
+                       i32 y0, i32 y1, Image &out) const;
 
     Config config_;
     mutable u64 last_history_fills_ = 0;
@@ -145,8 +143,8 @@ class SoftwareDecoder
     // Pooled decode scratch (cleared/rebound per frame, never shrunk) —
     // what makes steady-state decode allocation-free and the instance
     // single-threaded.
-    mutable MaskPrefixCache cache_cur_;
-    mutable std::vector<MaskPrefixCache> hist_cache_pool_;
+    mutable std::vector<MaskPrefixCache> caches_; //!< [0] current frame
+    mutable std::vector<SourceFrame> sources_;
     mutable std::vector<u8> row_codes_;
     mutable std::vector<const EncodedFrame *> usable_;
 };

@@ -133,6 +133,35 @@ TEST(Decoder, MatchesSoftwareDecoderOnMixedScene)
             EXPECT_EQ(row[static_cast<size_t>(x)], expected.at(x, y))
                 << "(" << x << "," << y << ")";
     }
+
+    // Both decoders take pixel sources from one shared resolver; the
+    // per-pixel reference walk is the side that does not run it.
+    SoftwareDecoder::Config ref_cfg;
+    ref_cfg.fast_path = false;
+    const SoftwareDecoder ref_sw(ref_cfg);
+    const Image reference = ref_sw.decode(*rig.store.recent(0), history);
+    EXPECT_EQ(reference.data(), expected.data());
+    for (i32 y = 0; y < h; ++y) {
+        const auto row = rig.decoder.requestPixels(0, y, w);
+        for (i32 x = 0; x < w; ++x)
+            EXPECT_EQ(row[static_cast<size_t>(x)], reference.at(x, y))
+                << "(" << x << "," << y << ")";
+    }
+
+    // Mid-row origins: the in-row R count is seeded from the prefix
+    // cache. Each request runs one row width, so it also wraps into the
+    // next row's start.
+    for (const i32 x0 : {1, 3, 8, 21, 30, 47}) {
+        for (i32 y = 0; y + 1 < h; ++y) {
+            const auto px = rig.decoder.requestPixels(x0, y, w);
+            for (i32 i = 0; i < w; ++i) {
+                const i32 lin = y * w + x0 + i;
+                EXPECT_EQ(px[static_cast<size_t>(i)],
+                          reference.at(lin % w, lin / w))
+                    << "origin (" << x0 << "," << y << ") pixel " << i;
+            }
+        }
+    }
 }
 
 TEST(Decoder, RequestSpanningRows)

@@ -263,26 +263,49 @@ TEST(Encoder, NaiveModeChargesEngineCyclesOnSkippedRows)
 
 TEST(Encoder, SummarizeMatchesEncode)
 {
-    const std::vector<RegionLabel> regions = {
-        {3, 1, 17, 9, 2, 1, 0},
-        {10, 8, 20, 14, 3, 2, 0},
-        {0, 20, 40, 6, 1, 3, 0},
+    // The second list overlaps a stride-2 and a stride-3 grid that are
+    // both active (even frames) on shared on-stride rows (4 and 10): the
+    // exact per-pixel path for several strided grids.
+    const std::vector<std::vector<RegionLabel>> label_sets = {
+        {
+            {3, 1, 17, 9, 2, 1, 0},
+            {10, 8, 20, 14, 3, 2, 0},
+            {0, 20, 40, 6, 1, 3, 0},
+        },
+        {
+            {2, 2, 20, 12, 2, 1, 0},
+            {5, 4, 24, 12, 3, 2, 0},
+        },
     };
     RhythmicEncoder::Config cfg;
     cfg.require_sorted = false;
     RhythmicEncoder enc(48, 32, cfg);
-    enc.setRegionLabels(regions);
     const Image frame = rampFrame(48, 32);
-    for (FrameIndex t = 0; t < 7; ++t) {
-        const EncodedFrame out = enc.encodeFrame(frame, t);
-        const auto sum = enc.summarizeFrame(t);
-        const auto h = out.mask.histogram();
-        EXPECT_EQ(sum.r, h[static_cast<size_t>(PixelCode::R)]) << t;
-        EXPECT_EQ(sum.st, h[static_cast<size_t>(PixelCode::St)]) << t;
-        EXPECT_EQ(sum.sk, h[static_cast<size_t>(PixelCode::Sk)]) << t;
-        EXPECT_EQ(sum.n, h[static_cast<size_t>(PixelCode::N)]) << t;
-        EXPECT_EQ(sum.metadata_bytes, out.metadataBytes());
-        EXPECT_EQ(sum.total(), 48u * 32u);
+    for (const auto &regions : label_sets) {
+        enc.setRegionLabels(regions);
+        for (FrameIndex t = 0; t < 7; ++t) {
+            const EncodedFrame out = enc.encodeFrame(frame, t);
+            const auto sum = enc.summarizeFrame(t);
+            const auto h = out.mask.histogram();
+            EXPECT_EQ(sum.r, h[static_cast<size_t>(PixelCode::R)]) << t;
+            EXPECT_EQ(sum.st, h[static_cast<size_t>(PixelCode::St)]) << t;
+            EXPECT_EQ(sum.sk, h[static_cast<size_t>(PixelCode::Sk)]) << t;
+            EXPECT_EQ(sum.n, h[static_cast<size_t>(PixelCode::N)]) << t;
+            EXPECT_EQ(sum.metadata_bytes, out.metadataBytes());
+            EXPECT_EQ(sum.total(), 48u * 32u);
+
+            // encodeFrame and summarizeFrame share one span sweep; the
+            // per-pixel reference classifier is the independent side.
+            u64 ref[4] = {};
+            for (i32 y = 0; y < 32; ++y)
+                for (i32 x = 0; x < 48; ++x)
+                    ++ref[static_cast<size_t>(RhythmicEncoder::classify(
+                        enc.regionLabels(), x, y, t))];
+            EXPECT_EQ(sum.r, ref[static_cast<size_t>(PixelCode::R)]) << t;
+            EXPECT_EQ(sum.st, ref[static_cast<size_t>(PixelCode::St)]) << t;
+            EXPECT_EQ(sum.sk, ref[static_cast<size_t>(PixelCode::Sk)]) << t;
+            EXPECT_EQ(sum.n, ref[static_cast<size_t>(PixelCode::N)]) << t;
+        }
     }
 }
 
