@@ -2,30 +2,16 @@
  * @file
  * Frame-based capture baselines (§5.3): FCH captures every frame at high
  * resolution, FCL at low resolution. Both move the entire frame through the
- * DDR interface every frame. This header also defines the per-frame traffic
- * record shared by all baselines.
+ * DDR interface every frame. The per-frame traffic record they share,
+ * FrameTraffic, lives with the frame outcome in obs/frame_outcome.hpp.
  */
 
 #ifndef RPX_BASELINE_FRAME_BASED_HPP
 #define RPX_BASELINE_FRAME_BASED_HPP
 
-#include "common/types.hpp"
+#include "obs/frame_outcome.hpp"
 
 namespace rpx {
-
-/** Pixel-memory traffic of one captured frame. */
-struct FrameTraffic {
-    Bytes bytes_written = 0;   //!< pixel payload into DRAM
-    Bytes bytes_read = 0;      //!< pixel payload read back by the app
-    Bytes metadata_bytes = 0;  //!< masks/offsets (rhythmic) or side data
-    Bytes footprint = 0;       //!< resident framebuffer bytes after frame
-
-    Bytes
-    totalBytes() const
-    {
-        return bytes_written + bytes_read + metadata_bytes;
-    }
-};
 
 /** Aggregate traffic over a run. */
 struct TrafficSummary {

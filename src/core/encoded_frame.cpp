@@ -112,7 +112,6 @@ MaskPrefixCache::rebind(const EncodedFrame *frame)
         row.clear();
     while (rows_.size() < rows)
         rows_.emplace_back();
-    touched_ = 0;
 }
 
 const std::vector<u32> &
@@ -134,7 +133,6 @@ MaskPrefixCache::rowPrefix(i32 y)
                 ++running;
         }
         row.back() = running;
-        ++touched_;
     }
     return row;
 }

@@ -137,9 +137,6 @@ class MaskPrefixCache
     /** Column of the nearest R at or before x in row y; -1 when none. */
     i32 lastEncodedAtOrBefore(i32 x, i32 y);
 
-    /** Rows whose prefix array has been materialised (metadata touched). */
-    size_t rowsTouched() const { return touched_; }
-
   private:
     const std::vector<u32> &rowPrefix(i32 y);
 
@@ -148,7 +145,6 @@ class MaskPrefixCache
     std::vector<std::vector<u32>> rows_;
     /** Unpacked code bytes for the row being materialised. */
     std::vector<u8> codes_;
-    size_t touched_ = 0;
 };
 
 /**

@@ -197,15 +197,15 @@ FleetServer::streamReportLocked(u32 id, const StreamEntry &entry) const
     FleetStreamReport sr;
     sr.id = id;
     sr.label = entry.label;
-    sr.frames = entry.totals.frames;
+    sr.frames = entry.frames;
     sr.deadline_misses = entry.totals.deadline_misses;
-    sr.quarantined = entry.totals.quarantined;
-    sr.shed = entry.totals.shed;
-    sr.errors = entry.totals.errors;
+    sr.quarantined = entry.totals.quarantined_frames;
+    sr.shed = entry.totals.shed_frames;
+    sr.errors = entry.errors;
     sr.dma_retries = entry.totals.dma_retries;
     sr.dma_dropped_bursts = entry.totals.dma_dropped_bursts;
     sr.degradation_level = entry.outcome.level();
-    sr.completed = entry.totals.frames >= entry.target;
+    sr.completed = entry.frames >= entry.target;
     sr.health = entry.outcome.health();
     sr.health_transitions = entry.outcome.stats().health_transitions;
     sr.health_recoveries = entry.outcome.stats().health_recoveries;
@@ -336,7 +336,7 @@ FleetServer::submitOrRetire(StreamEntry &entry, u32 id, u64 frame)
         bool close = false;
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            ++entry.totals.errors;
+            ++entry.errors;
             report = retireLocked(id, entry);
             close = live_ == 0;
         }
@@ -401,42 +401,6 @@ FleetServer::runStage(const Stage &stage, FrameTask &task)
 }
 
 void
-FleetServer::FrameTotals::add(const PipelineFrameResult &r)
-{
-    ++frames;
-    ++ok_frames;
-    deadline_misses += r.deadline_missed ? 1 : 0;
-    quarantined += r.quarantined ? 1 : 0;
-    shed += r.shed ? 1 : 0;
-    transient_faults += r.transient_faults;
-    dma_retries += r.dma_retries;
-    dma_dropped_bursts += r.dma_dropped_bursts;
-    bytes_written += r.traffic.bytes_written;
-    bytes_read += r.traffic.bytes_read;
-    metadata_bytes += r.traffic.metadata_bytes;
-    kept_sum += r.kept_fraction;
-}
-
-FleetServer::FrameTotals &
-FleetServer::FrameTotals::operator+=(const FrameTotals &o)
-{
-    frames += o.frames;
-    ok_frames += o.ok_frames;
-    errors += o.errors;
-    deadline_misses += o.deadline_misses;
-    quarantined += o.quarantined;
-    shed += o.shed;
-    transient_faults += o.transient_faults;
-    dma_retries += o.dma_retries;
-    dma_dropped_bursts += o.dma_dropped_bursts;
-    bytes_written += o.bytes_written;
-    bytes_read += o.bytes_read;
-    metadata_bytes += o.metadata_bytes;
-    kept_sum += o.kept_sum;
-    return *this;
-}
-
-void
 FleetServer::finishFrame(FrameTask &task, bool errored)
 {
     latency_.record(std::chrono::duration<double, std::micro>(
@@ -452,10 +416,10 @@ FleetServer::finishFrame(FrameTask &task, bool errored)
     {
         std::lock_guard<std::mutex> lock(mutex_);
         entry = &streams_.at(id);
+        ++entry->frames;
         if (errored) {
             // The one outcome that never reaches accountFrame.
-            ++entry->totals.frames;
-            ++entry->totals.errors;
+            ++entry->errors;
             fault::FrameHealth health;
             health.errored = true;
             task.stream->degradation()->onFrame(health);
@@ -470,9 +434,9 @@ FleetServer::finishFrame(FrameTask &task, bool errored)
                     ? task.encode_hold_us
                     : 0.9 * encode_hold_ewma_us_ +
                           0.1 * task.encode_hold_us;
-        resubmit = entry->active && entry->totals.frames < entry->target;
+        resubmit = entry->active && entry->frames < entry->target;
         if (resubmit) {
-            next = entry->totals.frames;
+            next = entry->frames;
             beginFrameLocked(*entry);
         } else {
             retired_report = retireLocked(id, *entry);
@@ -755,9 +719,11 @@ FleetServer::run()
 
     FleetReport rep;
     rep.streams_started = static_cast<u32>(streams_.size());
-    FrameTotals sum;
+    obs::OutcomeTotals sum;
     for (const auto &[id, entry] : streams_) {
         sum += entry.totals;
+        rep.frames += entry.frames;
+        rep.errors += entry.errors;
         FleetStreamReport sr = streamReportLocked(id, entry);
         if (sr.completed)
             ++rep.streams_completed;
@@ -765,11 +731,9 @@ FleetServer::run()
         rep.health_recoveries += sr.health_recoveries;
         rep.streams.push_back(std::move(sr));
     }
-    rep.frames = sum.frames;
-    rep.errors = sum.errors;
     rep.deadline_misses = sum.deadline_misses;
-    rep.quarantined = sum.quarantined;
-    rep.shed_frames = sum.shed;
+    rep.quarantined = sum.quarantined_frames;
+    rep.shed_frames = sum.shed_frames;
     rep.transient_faults = sum.transient_faults;
     rep.dma_retries = sum.dma_retries;
     rep.dma_dropped_bursts = sum.dma_dropped_bursts;
@@ -777,13 +741,12 @@ FleetServer::run()
     rep.bytes_read = sum.bytes_read;
     rep.metadata_bytes = sum.metadata_bytes;
     rep.kept_fraction_mean =
-        sum.ok_frames ? sum.kept_sum / static_cast<double>(sum.ok_frames)
-                      : 0.0;
+        sum.frames ? sum.kept_sum / static_cast<double>(sum.frames) : 0.0;
     rep.wall_seconds =
         std::chrono::duration<double>(end - start).count();
     rep.frames_per_second =
         rep.wall_seconds > 0.0
-            ? static_cast<double>(sum.frames) / rep.wall_seconds
+            ? static_cast<double>(rep.frames) / rep.wall_seconds
             : 0.0;
     rep.latency_p50_us = latency_.quantile(0.5);
     rep.latency_p99_us = latency_.quantile(0.99);
@@ -890,7 +853,7 @@ toJson(const FleetReport &r)
            << ", \"errors\": " << s.errors
            << ", \"degradation_level\": " << s.degradation_level
            << ", \"health\": \""
-           << guard::healthStateName(s.health) << "\""
+           << fault::healthStateName(s.health) << "\""
            << ", \"health_transitions\": " << s.health_transitions
            << ", \"health_recoveries\": " << s.health_recoveries
            << ", \"evicted\": " << (s.evicted ? "true" : "false")

@@ -32,9 +32,9 @@
  * Every frame ends on the stage graph's single outcome path: decoded by
  * DecodeStage, or shed by shedFrame() at the encode point (never stored)
  * or the decode point (stored, not decoded). Completion then folds the
- * result into its stream's FrameTotals; the report's fleet-wide frame
- * aggregates are the sum of those per-stream totals, so the two can
- * never disagree.
+ * result's FrameOutcome into its stream's OutcomeTotals; the report's
+ * fleet-wide frame aggregates are the sum of those per-stream totals, so
+ * the two can never disagree.
  *
  * A 1-stream fleet with deadlines disabled performs, frame for frame,
  * exactly the legacy VisionPipeline::processFrame sequence (the identity
@@ -54,6 +54,7 @@
 #include <vector>
 
 #include "fault/chaos.hpp"
+#include "fault/degradation.hpp"
 #include "fleet/engine_pool.hpp"
 #include "fleet/scheduler.hpp"
 #include "fleet/stages.hpp"
@@ -77,7 +78,7 @@ struct FleetStreamReport {
     int degradation_level = 0; //!< ladder level after the last frame
     bool completed = false;    //!< reached its frame target (vs removed)
     // Health outcome (deterministic from frame outcomes).
-    guard::HealthState health = guard::HealthState::Healthy;
+    fault::HealthState health = fault::HealthState::Healthy;
     u64 health_transitions = 0;
     u64 health_recoveries = 0; //!< quarantined → recovered transitions
     u64 watchdog_warns = 0;    //!< wall-clock warnings (non-deterministic)
@@ -276,32 +277,14 @@ class FleetServer
     PipelineObs &obs() { return *obs_; }
 
   private:
-    /** Frame-outcome counters of one stream; fleet totals sum these. */
-    struct FrameTotals {
-        u64 frames = 0;    //!< completed frames, errored ones included
-        u64 ok_frames = 0; //!< completed frames without a stage error
-        u64 errors = 0;    //!< stage errors + scene-source failures
-        u64 deadline_misses = 0;
-        u64 quarantined = 0;
-        u64 shed = 0;
-        u64 transient_faults = 0;
-        u64 dma_retries = 0;
-        u64 dma_dropped_bursts = 0;
-        Bytes bytes_written = 0;
-        Bytes bytes_read = 0;
-        Bytes metadata_bytes = 0;
-        double kept_sum = 0.0;
-
-        /** Fold one frame that completed without a stage error. */
-        void add(const PipelineFrameResult &r);
-        FrameTotals &operator+=(const FrameTotals &o);
-    };
-
     struct StreamEntry {
         std::unique_ptr<StreamContext> ctx; //!< released at retirement
         std::string label; //!< outlives ctx for reports after retirement
         u64 target = 0;
-        FrameTotals totals;
+        u64 frames = 0; //!< completed frames, errored ones included
+        u64 errors = 0; //!< stage errors + scene-source failures
+        /** Outcomes of the frames that completed without a stage error. */
+        obs::OutcomeTotals totals;
         /** The stream's controller as it retired (ctx is gone by then). */
         fault::DegradationController outcome;
         bool active = true;    //!< still scheduled for more frames

@@ -41,9 +41,10 @@ heldFrame(StreamContext &s)
 /**
  * The one frame-outcome path. Two facts about the frame — `stored` (it
  * reached the frame store) and `decoded` (it was decoded; implies
- * stored) — fix everything accounted for it: result flags, the
- * controller feed, traffic, energy, pipeline.* counters, the telemetry
- * record and the frame span.
+ * stored) — fix everything accounted for it: the result's FrameOutcome
+ * (filled here, once), the controller feed, energy, the pipeline.*
+ * counters, the telemetry record (which carries the same FrameOutcome)
+ * and the frame span.
  *
  *   stored decoded | written  read     metadata  DRAM nJ per kept pixel
  *     1      1     | payload  payload  2 x meta  (2 ddr + write + read)
@@ -160,6 +161,7 @@ accountFrame(FrameTask &task, bool stored, bool decoded)
 
     if (obs::TelemetrySink *sink = s.telemetry()) {
         obs::FrameTelemetry ft;
+        static_cast<obs::FrameOutcome &>(ft) = result; // the whole record
         ft.index = static_cast<u64>(t);
         ft.stream = cfg.stream_label;
         ft.sensor_us = task.lat_sensor;
@@ -173,9 +175,6 @@ accountFrame(FrameTask &task, bool stored, bool decoded)
 
         ft.pixels_in = task.pixels_in;
         ft.pixels_kept = kept_pixels;
-        ft.bytes_written = result.traffic.bytes_written;
-        ft.bytes_read = result.traffic.bytes_read;
-        ft.metadata_bytes = result.traffic.metadata_bytes;
 
         const DramStats &ds = s.dram().stats();
         ft.dram_write_transactions =
@@ -193,16 +192,6 @@ accountFrame(FrameTask &task, bool stored, bool decoded)
             es.stream_cycles - task.enc_before.stream_cycles;
         ft.region_comparisons =
             es.region_comparisons - task.enc_before.region_comparisons;
-
-        ft.quarantined = result.quarantined;
-        ft.held_last_good = result.held_last_good;
-        ft.deadline_missed = result.deadline_missed;
-        ft.shed = result.shed;
-        ft.csi_dropped_lines = result.csi_dropped_lines;
-        ft.transient_faults = result.transient_faults;
-        ft.dma_retries = result.dma_retries;
-        ft.dma_dropped_bursts = result.dma_dropped_bursts;
-        ft.degradation_level = result.degradation_level;
 
         ft.energy_sense_nj = e_sense_nj;
         ft.energy_csi_nj = e_csi_nj;

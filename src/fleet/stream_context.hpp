@@ -139,29 +139,10 @@ struct PipelineConfig {
     PipelineFaultConfig fault;
 };
 
-/** Result of pushing one frame through the pipeline. */
-struct PipelineFrameResult {
-    Image decoded;            //!< what the vision app sees
-    double kept_fraction = 0.0; //!< encoded pixels / total pixels
-    FrameTraffic traffic;     //!< this frame's memory traffic
+/** Result of pushing one frame through the pipeline: outcome + image. */
+struct PipelineFrameResult : obs::FrameOutcome {
+    Image decoded; //!< what the vision app sees
     FrameIndex index = 0;
-    // Resilience outcome (all-default when PipelineFaultConfig is off).
-    bool deadline_missed = false;  //!< wall-clock or injected miss
-    bool quarantined = false;      //!< decode rejected the stored frame
-    bool held_last_good = false;   //!< decoded is a held earlier frame
-    /**
-     * Frame shed by the fleet guard before decode: already past its
-     * deadline by more than the configured slack (or an injected
-     * Stage::Shed verdict), so the engine lease was skipped and `decoded`
-     * is the hold-last-good image. Shed is accounted as a first-class
-     * outcome — it is *not* a deadline miss and *not* a lost frame.
-     */
-    bool shed = false;
-    int degradation_level = 0;     //!< ladder level after this frame
-    u32 csi_dropped_lines = 0;     //!< CSI long-packet lines lost
-    u64 transient_faults = 0;      //!< contained faults (DMA retries etc.)
-    u64 dma_retries = 0;           //!< DMA bursts retried during store
-    u64 dma_dropped_bursts = 0;    //!< DMA bursts dropped during store
 };
 
 namespace fleet {

@@ -31,7 +31,6 @@
 #include <string>
 
 #include "common/types.hpp"
-#include "fault/degradation.hpp"
 
 namespace rpx::guard {
 
@@ -82,10 +81,6 @@ struct AdmissionResult {
 
     bool admitted() const { return outcome == AdmissionOutcome::Admitted; }
 };
-
-/** Stream health, kept by the stream's fault::DegradationController. */
-using HealthState = fault::HealthState;
-using fault::healthStateName;
 
 // ---------------------------------------------------------------------------
 // Watchdog + shedding

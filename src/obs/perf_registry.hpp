@@ -32,7 +32,6 @@ class Counter
     void add(u64 delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
     void inc() { add(1); }
     u64 value() const { return value_.load(std::memory_order_relaxed); }
-    void reset() { value_.store(0, std::memory_order_relaxed); }
 
   private:
     std::atomic<u64> value_{0};
@@ -44,7 +43,6 @@ class Gauge
   public:
     void set(double v) { value_.store(v, std::memory_order_relaxed); }
     double value() const { return value_.load(std::memory_order_relaxed); }
-    void reset() { set(0.0); }
 
   private:
     std::atomic<double> value_{0.0};
@@ -135,9 +133,6 @@ class PerfRegistry
 
     /** Number of registered metrics (all kinds). */
     size_t size() const;
-
-    /** Zero every counter/gauge (histograms cannot un-record; they stay). */
-    void resetCounters();
 
     /**
      * Name-sorted snapshot of every metric. Deterministic: two registries

@@ -43,21 +43,12 @@ boolName(bool b)
 void
 TelemetryTotals::add(const FrameTelemetry &frame)
 {
-    ++frames;
+    OutcomeTotals::add(frame);
     pixels_in += frame.pixels_in;
     pixels_kept += frame.pixels_kept;
-    bytes_written += frame.bytes_written;
-    bytes_read += frame.bytes_read;
-    metadata_bytes += frame.metadata_bytes;
     region_comparisons += frame.region_comparisons;
     compare_cycles += frame.compare_cycles;
     stream_cycles += frame.stream_cycles;
-    quarantined_frames += frame.quarantined ? 1 : 0;
-    deadline_misses += frame.deadline_missed ? 1 : 0;
-    shed_frames += frame.shed ? 1 : 0;
-    transient_faults += frame.transient_faults;
-    dma_retries += frame.dma_retries;
-    dma_dropped_bursts += frame.dma_dropped_bursts;
     energy_total_nj += frame.energy_total_nj;
 }
 
@@ -130,9 +121,9 @@ writeFrameJson(const FrameTelemetry &f)
        << ",\"total\":" << num(f.total_us) << "}"
        << ",\"pixels\":{\"in\":" << f.pixels_in
        << ",\"kept\":" << f.pixels_kept << "}"
-       << ",\"bytes\":{\"written\":" << f.bytes_written
-       << ",\"read\":" << f.bytes_read
-       << ",\"metadata\":" << f.metadata_bytes << "}"
+       << ",\"bytes\":{\"written\":" << f.traffic.bytes_written
+       << ",\"read\":" << f.traffic.bytes_read
+       << ",\"metadata\":" << f.traffic.metadata_bytes << "}"
        << ",\"dram\":{\"write_tx\":" << f.dram_write_transactions
        << ",\"read_tx\":" << f.dram_read_transactions
        << ",\"bytes_written\":" << f.dram_bytes_written
@@ -215,9 +206,9 @@ frameFromJson(const json::Value &v)
     f.pixels_kept = u64At(px, "kept");
 
     const json::Value &bytes = v.at("bytes");
-    f.bytes_written = u64At(bytes, "written");
-    f.bytes_read = u64At(bytes, "read");
-    f.metadata_bytes = u64At(bytes, "metadata");
+    f.traffic.bytes_written = u64At(bytes, "written");
+    f.traffic.bytes_read = u64At(bytes, "read");
+    f.traffic.metadata_bytes = u64At(bytes, "metadata");
 
     const json::Value &dram = v.at("dram");
     f.dram_write_transactions = u64At(dram, "write_tx");

@@ -4,11 +4,12 @@
  *
  * The PerfRegistry answers "how much work did the whole run do"; this layer
  * answers "which frame and which region label did it". The pipeline fills
- * one FrameTelemetry record per processed frame — stage latencies, pixel
- * and byte traffic, DRAM transaction deltas, encoder cycle/work deltas,
- * fault outcomes, and a first-order energy split — plus one RegionTelemetry
- * entry per active region label, with encoder work and DRAM energy
- * attributed by the encoder's conserving RegionAttribution.
+ * one FrameTelemetry record per processed frame — its FrameOutcome
+ * (traffic and fault outcome), stage latencies, pixel counts, DRAM
+ * transaction deltas, encoder cycle/work deltas and a first-order energy
+ * split — plus one RegionTelemetry entry per active region label, with
+ * encoder work and DRAM energy attributed by the encoder's conserving
+ * RegionAttribution.
  *
  * Records flow into a TelemetrySink, which (a) aggregates run totals that
  * must reconcile with the PerfRegistry aggregates (the conservation tests
@@ -31,6 +32,7 @@
 
 #include "common/json.hpp"
 #include "common/types.hpp"
+#include "obs/frame_outcome.hpp"
 
 namespace rpx::obs {
 
@@ -51,8 +53,11 @@ struct RegionTelemetry {
     double energy_nj = 0.0;  //!< DRAM-path energy of the kept pixels
 };
 
-/** Everything attributed to one processed frame. */
-struct FrameTelemetry {
+/**
+ * Everything attributed to one processed frame: its outcome plus the
+ * telemetry-only fields. The journal omits kept_fraction and footprint.
+ */
+struct FrameTelemetry : FrameOutcome {
     u64 index = 0;
     /**
      * Originating stream label (fleet runs label streams "s<id>").
@@ -69,12 +74,9 @@ struct FrameTelemetry {
     double decode_us = 0.0;
     double total_us = 0.0;
 
-    // Pixels and bytes.
+    // Pixels.
     u64 pixels_in = 0;
     u64 pixels_kept = 0;
-    Bytes bytes_written = 0;
-    Bytes bytes_read = 0;
-    Bytes metadata_bytes = 0;
 
     // DRAM transaction deltas across this frame (write path + decode).
     u64 dram_write_transactions = 0;
@@ -87,18 +89,6 @@ struct FrameTelemetry {
     u64 stream_cycles = 0;
     u64 region_comparisons = 0;
 
-    // Fault / resilience outcome.
-    bool quarantined = false;
-    bool held_last_good = false;
-    bool deadline_missed = false;
-    /** Shed by the fleet guard before decode (shed ≠ missed ≠ lost). */
-    bool shed = false;
-    u32 csi_dropped_lines = 0;
-    u64 transient_faults = 0;
-    u64 dma_retries = 0;        //!< DMA bursts retried during store
-    u64 dma_dropped_bursts = 0; //!< DMA bursts dropped during store
-    int degradation_level = 0;
-
     // First-order energy split (nanojoules; see src/energy/energy_model).
     double energy_sense_nj = 0.0;
     double energy_csi_nj = 0.0;
@@ -109,23 +99,16 @@ struct FrameTelemetry {
     std::vector<RegionTelemetry> regions;
 };
 
-/** Run totals accumulated by a TelemetrySink (never trimmed). */
-struct TelemetryTotals {
-    u64 frames = 0;
+/**
+ * Run totals accumulated by a TelemetrySink (never trimmed): the outcome
+ * totals plus the telemetry-only sums.
+ */
+struct TelemetryTotals : OutcomeTotals {
     u64 pixels_in = 0;
     u64 pixels_kept = 0;
-    Bytes bytes_written = 0;
-    Bytes bytes_read = 0;
-    Bytes metadata_bytes = 0;
     u64 region_comparisons = 0;
     u64 compare_cycles = 0;
     u64 stream_cycles = 0;
-    u64 quarantined_frames = 0;
-    u64 deadline_misses = 0;
-    u64 shed_frames = 0;
-    u64 transient_faults = 0;
-    u64 dma_retries = 0;
-    u64 dma_dropped_bursts = 0;
     double energy_total_nj = 0.0;
 
     void add(const FrameTelemetry &frame);

@@ -7,7 +7,9 @@
 #include <fstream>
 #include <mutex>
 #include <sstream>
+#include <tuple>
 #include <unordered_map>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -406,7 +408,6 @@ class SoakRunner
     obs::Counter *reg_written_ = nullptr;
     obs::Counter *reg_read_ = nullptr;
     obs::Counter *reg_meta_ = nullptr;
-    obs::Counter *reg_shed_ = nullptr;
 
     std::mutex mutex_; //!< slots / id map / generation count
     std::vector<SlotState> slots_;
@@ -437,7 +438,6 @@ SoakRunner::run()
     reg_written_ = &obs_.registry().counter("pipeline.bytes_written");
     reg_read_ = &obs_.registry().counter("pipeline.bytes_read");
     reg_meta_ = &obs_.registry().counter("pipeline.metadata_bytes");
-    reg_shed_ = &obs_.registry().counter("pipeline.shed_frames");
 
     fleet::FleetConfig fc;
     fc.stream.width = width_;
@@ -533,7 +533,7 @@ SoakRunner::finalChecks(const fleet::FleetReport &rep, SoakResult &res)
         (static_cast<i64>(reg_meta_->value()) -
          static_cast<i64>(j.metadata_bytes));
 
-    const auto expectEq = [&](const char *what, u64 got, u64 want) {
+    const auto expectEq = [&](const std::string &what, u64 got, u64 want) {
         if (got == want)
             return;
         std::ostringstream os;
@@ -541,30 +541,42 @@ SoakRunner::finalChecks(const fleet::FleetReport &rep, SoakResult &res)
            << " != " << want << ")";
         violations_.push_back(os.str());
     };
-    expectEq("registry/journal frames", reg_frames_->value(), j.frames);
-    expectEq("registry/journal bytes_written", reg_written_->value(),
-             static_cast<u64>(j.bytes_written));
-    expectEq("registry/journal bytes_read", reg_read_->value(),
-             static_cast<u64>(j.bytes_read));
-    expectEq("registry/journal metadata_bytes", reg_meta_->value(),
-             static_cast<u64>(j.metadata_bytes));
-    expectEq("fleet/journal frames", rep.frames, j.frames);
-    expectEq("fleet/journal quarantined", rep.quarantined,
-             j.quarantined_frames);
-    expectEq("fleet/journal deadline_misses", rep.deadline_misses,
-             j.deadline_misses);
-    expectEq("fleet/journal transient_faults", rep.transient_faults,
-             j.transient_faults);
-    // Shed accounting is three-way: every shed frame appears once in the
-    // journal, the registry, and the fleet report (shed != lost).
-    expectEq("registry/journal shed_frames", reg_shed_->value(),
-             j.shed_frames);
-    expectEq("fleet/journal shed_frames", rep.shed_frames,
-             j.shed_frames);
-    expectEq("fleet/journal dma_retries", rep.dma_retries,
-             j.dma_retries);
-    expectEq("fleet/journal dma_dropped_bursts", rep.dma_dropped_bursts,
-             j.dma_dropped_bursts);
+    // Every outcome counter is three-way: each frame's one outcome record
+    // lands once in the journal, the pipeline.* registry counters and the
+    // fleet report (so, e.g., every shed frame appears once in each:
+    // shed != lost).
+    const std::pair<const char *, u64> registry_journal[] = {
+        {"frames", j.frames},
+        {"bytes_written", j.bytes_written},
+        {"bytes_read", j.bytes_read},
+        {"metadata_bytes", j.metadata_bytes},
+        {"shed_frames", j.shed_frames},
+        {"quarantined_frames", j.quarantined_frames},
+        {"deadline_misses", j.deadline_misses},
+        {"transient_faults", j.transient_faults},
+        {"dma_retries", j.dma_retries},
+        {"dma_dropped_bursts", j.dma_dropped_bursts},
+    };
+    for (const auto &[name, want] : registry_journal)
+        expectEq("registry/journal " + std::string(name),
+                 obs_.registry().counter(std::string("pipeline.") + name)
+                     .value(),
+                 want);
+    const std::tuple<const char *, u64, u64> fleet_journal[] = {
+        {"frames", rep.frames, j.frames},
+        {"bytes_written", rep.bytes_written, j.bytes_written},
+        {"bytes_read", rep.bytes_read, j.bytes_read},
+        {"metadata_bytes", rep.metadata_bytes, j.metadata_bytes},
+        {"quarantined", rep.quarantined, j.quarantined_frames},
+        {"deadline_misses", rep.deadline_misses, j.deadline_misses},
+        {"transient_faults", rep.transient_faults, j.transient_faults},
+        {"shed_frames", rep.shed_frames, j.shed_frames},
+        {"dma_retries", rep.dma_retries, j.dma_retries},
+        {"dma_dropped_bursts", rep.dma_dropped_bursts,
+         j.dma_dropped_bursts},
+    };
+    for (const auto &[name, got, want] : fleet_journal)
+        expectEq("fleet/journal " + std::string(name), got, want);
     expectEq("fleet errors", rep.errors, 0);
 
     if (!aborted_.load(std::memory_order_relaxed)) {

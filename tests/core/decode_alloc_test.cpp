@@ -82,6 +82,34 @@ operator delete[](void *p, std::size_t) noexcept
     std::free(p);
 }
 
+// The nothrow forms (std::stable_sort's temporary buffer uses them) must
+// come from the same malloc/free pair, or sanitizers see a new/free
+// mismatch between the runtime's operator new and the free above.
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size ? size : 1);
+}
+
+void *
+operator new[](std::size_t size, const std::nothrow_t &tag) noexcept
+{
+    return operator new(size, tag);
+}
+
+void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
 namespace rpx {
 namespace {
 

@@ -202,7 +202,7 @@ TEST(FleetGuard, ShedAllFramesKeepsAccountingExact)
         EXPECT_EQ(s.shed, s.frames);
         EXPECT_TRUE(s.completed);
         // All-shed streams sit in Degraded (dirty but decoding fine).
-        EXPECT_EQ(s.health, guard::HealthState::Degraded);
+        EXPECT_EQ(s.health, fault::HealthState::Degraded);
         per_stream_shed += s.shed;
     }
     EXPECT_EQ(per_stream_shed, rep.shed_frames);
@@ -253,26 +253,26 @@ TEST(FleetGuard, DecodePointShedAccountsWriteSideOnly)
         if (!ft.shed)
             continue;
         ++shed;
-        EXPECT_EQ(ft.bytes_read, 0u) << ft.stream << "/" << ft.index;
+        EXPECT_EQ(ft.traffic.bytes_read, 0u) << ft.stream << "/" << ft.index;
         EXPECT_TRUE(ft.held_last_good);
         EXPECT_FALSE(ft.deadline_missed);
-        if (ft.bytes_written == 0) {
-            EXPECT_EQ(ft.metadata_bytes, 0u);
+        if (ft.traffic.bytes_written == 0) {
+            EXPECT_EQ(ft.traffic.metadata_bytes, 0u);
             EXPECT_EQ(ft.pixels_kept, 0u);
             EXPECT_TRUE(ft.regions.empty());
             EXPECT_EQ(ft.energy_dram_nj, 0.0);
             continue;
         }
         ++stored;
-        EXPECT_EQ(ft.bytes_written, ft.pixels_kept);
-        EXPECT_EQ(ft.metadata_bytes, kMetadataBytes);
+        EXPECT_EQ(ft.traffic.bytes_written, ft.pixels_kept);
+        EXPECT_EQ(ft.traffic.metadata_bytes, kMetadataBytes);
         Bytes payload = 0;
         double region_energy_nj = 0.0;
         for (const obs::RegionTelemetry &rt : ft.regions) {
             payload += rt.payload_bytes;
             region_energy_nj += rt.energy_nj;
         }
-        EXPECT_EQ(payload, ft.bytes_written);
+        EXPECT_EQ(payload, ft.traffic.bytes_written);
         EXPECT_GT(ft.energy_dram_nj, 0.0);
         EXPECT_NEAR(region_energy_nj, ft.energy_dram_nj,
                     1e-6 * (1.0 + ft.energy_dram_nj));
@@ -319,7 +319,7 @@ TEST(FleetGuard, WatchdogEvictsWedgedStreamsWithoutHang)
         per_stream_frames += s.frames;
         if (s.evicted) {
             ++evicted;
-            EXPECT_EQ(s.health, guard::HealthState::Evicted);
+            EXPECT_EQ(s.health, fault::HealthState::Evicted);
             EXPECT_FALSE(s.completed);
             // The wedged frame itself still completed and was counted.
             EXPECT_GE(s.frames, 1u);
@@ -342,13 +342,13 @@ TEST(FleetGuard, StageErrorsDriveHealthWithoutLadder)
 {
     struct Expect {
         u32 frames;
-        guard::HealthState health;
+        fault::HealthState health;
         u64 transitions;
         u64 recoveries;
     };
     for (const Expect &want :
-         {Expect{5, guard::HealthState::Quarantined, 2, 0},
-          Expect{12, guard::HealthState::Healthy, 4, 1}}) {
+         {Expect{5, fault::HealthState::Quarantined, 2, 0},
+          Expect{12, fault::HealthState::Healthy, 4, 1}}) {
         FleetConfig fc = guardFleet(1, want.frames);
         fc.stream.use_sensor_path = true;
         fc.scene_source = [](u32, u64 frame) {
@@ -363,8 +363,8 @@ TEST(FleetGuard, StageErrorsDriveHealthWithoutLadder)
         const FleetStreamReport &s = rep.streams[0];
         EXPECT_EQ(s.frames, want.frames);
         EXPECT_EQ(s.errors, 3u);
-        EXPECT_STREQ(guard::healthStateName(s.health),
-                     guard::healthStateName(want.health));
+        EXPECT_STREQ(fault::healthStateName(s.health),
+                     fault::healthStateName(want.health));
         EXPECT_EQ(s.health_transitions, want.transitions);
         EXPECT_EQ(s.health_recoveries, want.recoveries);
         EXPECT_EQ(s.degradation_level, 0);

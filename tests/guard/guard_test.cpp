@@ -43,7 +43,7 @@ TEST(HealthMachine, StartsHealthyAndStaysOnCleanFrames)
     fault::DegradationController hm;
     for (int i = 0; i < 10; ++i)
         hm.onFrame(cleanFrame());
-    EXPECT_EQ(hm.health(), guard::HealthState::Healthy);
+    EXPECT_EQ(hm.health(), fault::HealthState::Healthy);
     EXPECT_EQ(hm.stats().health_transitions, 0u);
     EXPECT_EQ(hm.stats().health_recoveries, 0u);
 }
@@ -52,7 +52,7 @@ TEST(HealthMachine, SingleDirtyFrameDegrades)
 {
     fault::DegradationController hm;
     hm.onFrame(shedFrame());
-    EXPECT_EQ(hm.health(), guard::HealthState::Degraded);
+    EXPECT_EQ(hm.health(), fault::HealthState::Degraded);
     EXPECT_EQ(hm.stats().health_transitions, 1u);
 }
 
@@ -63,9 +63,9 @@ TEST(HealthMachine, QuarantineStreakQuarantines)
     fault::DegradationController hm(cfg);
     hm.onFrame(quarantinedFrame());
     hm.onFrame(quarantinedFrame());
-    EXPECT_EQ(hm.health(), guard::HealthState::Degraded);
+    EXPECT_EQ(hm.health(), fault::HealthState::Degraded);
     hm.onFrame(quarantinedFrame());
-    EXPECT_EQ(hm.health(), guard::HealthState::Quarantined);
+    EXPECT_EQ(hm.health(), fault::HealthState::Quarantined);
 }
 
 TEST(HealthMachine, BrokenStreakDoesNotQuarantine)
@@ -78,7 +78,7 @@ TEST(HealthMachine, BrokenStreakDoesNotQuarantine)
         hm.onFrame(quarantinedFrame());
         hm.onFrame(cleanFrame()); // streak broken every time
     }
-    EXPECT_NE(hm.health(), guard::HealthState::Quarantined);
+    EXPECT_NE(hm.health(), fault::HealthState::Quarantined);
 }
 
 TEST(HealthMachine, RecoversThroughDegradedToHealthy)
@@ -89,18 +89,18 @@ TEST(HealthMachine, RecoversThroughDegradedToHealthy)
     fault::DegradationController hm(cfg);
     hm.onFrame(quarantinedFrame());
     hm.onFrame(quarantinedFrame());
-    ASSERT_EQ(hm.health(), guard::HealthState::Quarantined);
+    ASSERT_EQ(hm.health(), fault::HealthState::Quarantined);
 
     // Three decoded frames step back to Degraded (the recovery the
     // counter tracks), three fully-clean frames then restore Healthy.
     hm.onFrame(cleanFrame());
     hm.onFrame(cleanFrame());
-    EXPECT_EQ(hm.health(), guard::HealthState::Quarantined);
+    EXPECT_EQ(hm.health(), fault::HealthState::Quarantined);
     hm.onFrame(cleanFrame());
-    EXPECT_EQ(hm.health(), guard::HealthState::Degraded);
+    EXPECT_EQ(hm.health(), fault::HealthState::Degraded);
     EXPECT_EQ(hm.stats().health_recoveries, 1u);
     hm.onFrame(cleanFrame());
-    EXPECT_EQ(hm.health(), guard::HealthState::Healthy);
+    EXPECT_EQ(hm.health(), fault::HealthState::Healthy);
     EXPECT_EQ(hm.stats().health_recoveries, 1u);
 }
 
@@ -117,28 +117,28 @@ TEST(HealthMachine, QuarantineRecoveryToleratesShedFrames)
     fault::DegradationController hm(cfg);
     hm.onFrame(quarantinedFrame());
     hm.onFrame(quarantinedFrame());
-    ASSERT_EQ(hm.health(), guard::HealthState::Quarantined);
+    ASSERT_EQ(hm.health(), fault::HealthState::Quarantined);
     hm.onFrame(shedFrame());
     hm.onFrame(shedFrame());
-    EXPECT_EQ(hm.health(), guard::HealthState::Degraded);
+    EXPECT_EQ(hm.health(), fault::HealthState::Degraded);
     EXPECT_EQ(hm.stats().health_recoveries, 1u);
     // But the final step to Healthy needs fully-clean frames.
     hm.onFrame(shedFrame());
     hm.onFrame(shedFrame());
-    EXPECT_EQ(hm.health(), guard::HealthState::Degraded);
+    EXPECT_EQ(hm.health(), fault::HealthState::Degraded);
     hm.onFrame(cleanFrame());
     hm.onFrame(cleanFrame());
-    EXPECT_EQ(hm.health(), guard::HealthState::Healthy);
+    EXPECT_EQ(hm.health(), fault::HealthState::Healthy);
 }
 
 TEST(HealthMachine, EvictIsTerminal)
 {
     fault::DegradationController hm;
     hm.evict();
-    EXPECT_EQ(hm.health(), guard::HealthState::Evicted);
+    EXPECT_EQ(hm.health(), fault::HealthState::Evicted);
     for (int i = 0; i < 20; ++i)
         hm.onFrame(cleanFrame());
-    EXPECT_EQ(hm.health(), guard::HealthState::Evicted);
+    EXPECT_EQ(hm.health(), fault::HealthState::Evicted);
     EXPECT_EQ(hm.stats().health_transitions, 1u);
 }
 
@@ -160,14 +160,14 @@ TEST(HealthMachine, DeterministicForSameSignalSequence)
 
 TEST(GuardNames, AllEnumeratorsHaveNames)
 {
-    EXPECT_STREQ(guard::healthStateName(guard::HealthState::Healthy),
+    EXPECT_STREQ(fault::healthStateName(fault::HealthState::Healthy),
                  "healthy");
-    EXPECT_STREQ(guard::healthStateName(guard::HealthState::Degraded),
+    EXPECT_STREQ(fault::healthStateName(fault::HealthState::Degraded),
                  "degraded");
     EXPECT_STREQ(
-        guard::healthStateName(guard::HealthState::Quarantined),
+        fault::healthStateName(fault::HealthState::Quarantined),
         "quarantined");
-    EXPECT_STREQ(guard::healthStateName(guard::HealthState::Evicted),
+    EXPECT_STREQ(fault::healthStateName(fault::HealthState::Evicted),
                  "evicted");
     EXPECT_STREQ(
         guard::admissionPolicyName(guard::AdmissionPolicy::HardCapOnly),

@@ -166,7 +166,7 @@ TEST(PipelineTelemetry, RegionSumsAndRegistryReconcile)
         EXPECT_EQ(kept, ft.pixels_kept) << "frame " << ft.index;
         EXPECT_EQ(comparisons, ft.region_comparisons)
             << "frame " << ft.index;
-        EXPECT_EQ(payload, ft.bytes_written) << "frame " << ft.index;
+        EXPECT_EQ(payload, ft.traffic.bytes_written) << "frame " << ft.index;
         EXPECT_NEAR(region_energy_nj, ft.energy_dram_nj,
                     1e-6 * (1.0 + ft.energy_dram_nj))
             << "frame " << ft.index;
@@ -216,9 +216,9 @@ TEST(PipelineTelemetry, JournalRoundTripsThroughJsonl)
         EXPECT_EQ(back.index, ft.index);
         EXPECT_EQ(back.pixels_in, ft.pixels_in);
         EXPECT_EQ(back.pixels_kept, ft.pixels_kept);
-        EXPECT_EQ(back.bytes_written, ft.bytes_written);
-        EXPECT_EQ(back.bytes_read, ft.bytes_read);
-        EXPECT_EQ(back.metadata_bytes, ft.metadata_bytes);
+        EXPECT_EQ(back.traffic.bytes_written, ft.traffic.bytes_written);
+        EXPECT_EQ(back.traffic.bytes_read, ft.traffic.bytes_read);
+        EXPECT_EQ(back.traffic.metadata_bytes, ft.traffic.metadata_bytes);
         EXPECT_EQ(back.dram_write_transactions,
                   ft.dram_write_transactions);
         EXPECT_EQ(back.dram_read_transactions, ft.dram_read_transactions);
