@@ -32,7 +32,6 @@
 #include "core/decoder.hpp"
 #include "core/encoder.hpp"
 #include "core/frame_store.hpp"
-#include "core/parallel_decoder.hpp"
 #include "core/sw_decoder.hpp"
 #include "frame/draw.hpp"
 #include "memory/dram.hpp"
@@ -191,9 +190,9 @@ BM_ParallelDecoder1080p(benchmark::State &state)
     enc.setRegionLabels({{0, 0, std::min(side, w), std::min(side, h),
                           1, 1, 0}});
     const EncodedFrame encoded = enc.encodeFrame(noiseFrame(w, h), 0);
-    ParallelDecoder::Config pc;
+    SoftwareDecoder::Config pc;
     pc.threads = static_cast<int>(state.range(0));
-    ParallelDecoder dec(pc);
+    const SoftwareDecoder dec(pc);
     Image out;
     for (auto _ : state) {
         dec.decodeInto(encoded, {}, out);

@@ -1,8 +1,8 @@
 /**
  * @file
- * Row-parallel encoder microbenchmark: wall-clock speedup of the
- * ParallelEncoder over the serial RhythmicEncoder at 1080p, across thread
- * counts and region loads.
+ * Row-parallel encoder microbenchmark: wall-clock speedup of a threaded
+ * RhythmicEncoder (Config::threads > 1) over the serial one at 1080p,
+ * across thread counts and region loads.
  *
  * Each run reports
  *  - speedup_vs_serial: serial ns/frame divided by this run's ns/frame
@@ -29,7 +29,7 @@
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
-#include "core/parallel_encoder.hpp"
+#include "core/encoder.hpp"
 #include "frame/draw.hpp"
 #include "obs/bench_report.hpp"
 #include "obs/metrics_export.hpp"
@@ -91,7 +91,7 @@ serialNsPerFrame(const std::vector<RegionLabel> &regions)
 
 /** 1 iff parallel output matches serial output byte-for-byte. */
 bool
-bitIdentical(ParallelEncoder &par, const std::vector<RegionLabel> &regions)
+bitIdentical(RhythmicEncoder &par, const std::vector<RegionLabel> &regions)
 {
     RhythmicEncoder serial(kW, kH);
     serial.setRegionLabels(regions);
@@ -106,9 +106,9 @@ runParallelEncode(benchmark::State &state,
                   const std::vector<RegionLabel> &regions,
                   double serial_ns)
 {
-    ParallelEncoder::Config cfg;
+    RhythmicEncoder::Config cfg;
     cfg.threads = static_cast<int>(state.range(0));
-    ParallelEncoder enc(kW, kH, cfg);
+    RhythmicEncoder enc(kW, kH, cfg);
     enc.setRegionLabels(regions);
     const bool identical = bitIdentical(enc, regions);
     enc.resetStats();

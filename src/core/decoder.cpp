@@ -83,29 +83,14 @@ RhythmicDecoder::refreshScratchpad()
             crc.update(offs);
             u8 cell[sizeof(u32)];
             store_.dram().read(addrs->crc.base, cell, sizeof(cell));
-            const u32 sealed = static_cast<u32>(cell[0]) |
-                               (static_cast<u32>(cell[1]) << 8) |
-                               (static_cast<u32>(cell[2]) << 16) |
-                               (static_cast<u32>(cell[3]) << 24);
-            if (crc.value() != sealed) {
+            if (crc.value() != EncodedFrame::loadLE32(cell)) {
                 ++stats_.crc_failures;
                 safe = false;
             }
         }
 
         meta.mask.assign(f->width, f->height, mask_buf.data(), mask_bytes);
-        meta.offsets.reset(f->height);
-        auto word = [&](i32 y) {
-            const size_t b = static_cast<size_t>(y) * 4;
-            return static_cast<u32>(offs[b]) |
-                   (static_cast<u32>(offs[b + 1]) << 8) |
-                   (static_cast<u32>(offs[b + 2]) << 16) |
-                   (static_cast<u32>(offs[b + 3]) << 24);
-        };
-        for (i32 y = 0; y + 1 < f->height; ++y)
-            meta.offsets.setRowCount(y, word(y + 1) - word(y));
-        meta.offsets.setRowCount(f->height - 1,
-                                 meta.mask.encodedInRow(f->height - 1));
+        meta.unpackOffsets(offs.data());
         stats_.metadata_bytes += mask_bytes + offs_bytes;
 
         // Integrity gate 2: bounds-validate the reconstructed metadata so
@@ -292,11 +277,6 @@ RhythmicDecoder::requestPixelsInto(i32 x, i32 y, i32 count,
     // scratchpad; accounted there).
     if (obs_transactions_)
         mirrorObs();
-
-    // Arena references from this transaction are dead here, so trimming
-    // cannot dangle them; the next transaction re-warms the pool.
-    if (config_.arena_max_bytes != 0)
-        arena_.trim(config_.arena_max_bytes);
 }
 
 void

@@ -86,15 +86,6 @@ class RhythmicDecoder
          * (fewer modelled cycles) on sparse masks.
          */
         u32 burst_gap_bytes = 0;
-        /**
-         * Retention ceiling for the per-transaction scratch arena, in
-         * bytes. 0 (default) never trims — the zero-allocation
-         * steady-state contract. A fleet whose streams churn through
-         * differing geometries sets a bound so a briefly-large frame
-         * cannot pin its scratch capacity for the life of the decoder;
-         * the next transaction after a trim re-warms the pool.
-         */
-        size_t arena_max_bytes = 0;
     };
 
     RhythmicDecoder(FrameStore &store, const Config &config);

@@ -138,12 +138,6 @@ RowOffsets::RowOffsets(const EncMask &mask)
     offsets_.back() = running;
 }
 
-RowOffsets::RowOffsets(i32 height)
-{
-    RPX_ASSERT(height >= 0, "RowOffsets height must be non-negative");
-    offsets_.assign(static_cast<size_t>(height) + 1, 0);
-}
-
 void
 RowOffsets::reset(i32 height)
 {

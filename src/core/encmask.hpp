@@ -103,7 +103,7 @@ class EncMask
 
     /**
      * Copy every row of `src` (same width) into this mask starting at row
-     * `y0` — the ParallelEncoder's shard-stitching primitive. Requires the
+     * `y0` — the band encoder's shard-stitching primitive. Requires the
      * destination bit offset of row y0 to be byte-aligned (true whenever
      * y0 is a multiple of 4, since 4 rows occupy exactly w bytes) so the
      * copy is a straight byte move instead of a bit shuffle.
@@ -147,7 +147,7 @@ class RowOffsets
     explicit RowOffsets(const EncMask &mask);
 
     /** Build incrementally: start empty, append per-row counts. */
-    explicit RowOffsets(i32 height);
+    explicit RowOffsets(i32 height) { reset(height); }
 
     /**
      * Reset to `height` zeroed rows, reusing existing storage (the

@@ -9,17 +9,23 @@ namespace rpx {
 std::vector<u8>
 EncodedFrame::packOffsets() const
 {
-    std::vector<u8> bytes;
-    bytes.reserve(static_cast<size_t>(height > 0 ? height : 0) *
-                  sizeof(u32));
-    for (i32 y = 0; y < height; ++y) {
-        const u32 v = offsets.offsetOf(y);
-        bytes.push_back(static_cast<u8>(v));
-        bytes.push_back(static_cast<u8>(v >> 8));
-        bytes.push_back(static_cast<u8>(v >> 16));
-        bytes.push_back(static_cast<u8>(v >> 24));
-    }
+    std::vector<u8> bytes(static_cast<size_t>(height > 0 ? height : 0) *
+                          sizeof(u32));
+    for (i32 y = 0; y < height; ++y)
+        storeLE32(offsets.offsetOf(y), &bytes[static_cast<size_t>(y) * 4]);
     return bytes;
+}
+
+void
+EncodedFrame::unpackOffsets(const u8 *bytes)
+{
+    offsets.reset(height);
+    for (i32 y = 0; y + 1 < height; ++y) {
+        const u8 *word = bytes + static_cast<size_t>(y) * 4;
+        offsets.setRowCount(y, loadLE32(word + 4) - loadLE32(word));
+    }
+    if (height > 0)
+        offsets.setRowCount(height - 1, mask.encodedInRow(height - 1));
 }
 
 u32
@@ -31,13 +37,8 @@ EncodedFrame::computeMetadataCrc() const
     // instead of materialising packOffsets(): this runs on every sealed
     // decode (validate) and must not allocate.
     for (i32 y = 0; y < height; ++y) {
-        const u32 v = offsets.offsetOf(y);
-        const u8 word[4] = {
-            static_cast<u8>(v),
-            static_cast<u8>(v >> 8),
-            static_cast<u8>(v >> 16),
-            static_cast<u8>(v >> 24),
-        };
+        u8 word[4];
+        storeLE32(offsets.offsetOf(y), word);
         crc.update(word, sizeof(word));
     }
     return crc.value();

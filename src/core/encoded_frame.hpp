@@ -50,8 +50,6 @@ struct EncodedFrame {
         return mask.packedBytes() + offsets.packedBytes();
     }
 
-    Bytes totalBytes() const { return pixelBytes() + metadataBytes(); }
-
     /** Fraction of original pixels kept (0..1). */
     double
     keptFraction() const
@@ -62,11 +60,40 @@ struct EncodedFrame {
     }
 
     /**
+     * The byte order of every stored metadata word (row-start table, CRC
+     * cell): little-endian u32.
+     */
+    static u32
+    loadLE32(const u8 *p)
+    {
+        return static_cast<u32>(p[0]) | (static_cast<u32>(p[1]) << 8) |
+               (static_cast<u32>(p[2]) << 16) |
+               (static_cast<u32>(p[3]) << 24);
+    }
+    static void
+    storeLE32(u32 v, u8 *p)
+    {
+        p[0] = static_cast<u8>(v);
+        p[1] = static_cast<u8>(v >> 8);
+        p[2] = static_cast<u8>(v >> 16);
+        p[3] = static_cast<u8>(v >> 24);
+    }
+
+    /**
      * Serialize the row-offset table to its DRAM byte layout (one
      * little-endian u32 start offset per row) — the representation the
      * frame store writes and the metadata CRC covers.
      */
     std::vector<u8> packOffsets() const;
+
+    /**
+     * The inverse of packOffsets(), as the decoder's metadata scratchpad
+     * reads it: rebuild `offsets` (height rows, storage reused) from a
+     * packed table of `height` words. Row counts are differences of
+     * adjacent starts (u32 wrap-around, like the hardware); the last
+     * row's count comes from `mask`, which must already be set.
+     */
+    void unpackOffsets(const u8 *bytes);
 
     /** CRC-32 over mask bytes + packOffsets() (the sealable metadata). */
     u32 computeMetadataCrc() const;

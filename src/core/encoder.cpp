@@ -8,7 +8,8 @@ namespace rpx {
 
 RhythmicEncoder::RhythmicEncoder(i32 frame_w, i32 frame_h,
                                  const Config &config)
-    : frame_w_(frame_w), frame_h_(frame_h), config_(config)
+    : frame_w_(frame_w), frame_h_(frame_h), config_(config),
+      pool_(config.threads, config.min_band_rows)
 {
     if (frame_w <= 0 || frame_h <= 0)
         throwInvalid("encoder frame geometry must be positive: ", frame_w,
@@ -344,6 +345,7 @@ RhythmicEncoder::encodeBand(const Image &gray, FrameIndex t, i32 y0, i32 y1,
     out.y1 = y1;
     out.mask = EncMask(frame_w_, y1 - y0);
     out.pixels.clear();
+    out.pixels.reserve(static_cast<size_t>(frame_w_) * 4);
     out.row_counts.assign(static_cast<size_t>(y1 - y0), 0);
     out.work.reset();
     out.attr.reset(attribute_regions_ ? regions_.size() : 0);
@@ -360,26 +362,6 @@ RhythmicEncoder::encodeBand(const Image &gray, FrameIndex t, i32 y0, i32 y1,
     }
 }
 
-void
-RhythmicEncoder::commitFrameStats(const EncodedFrame &out, u64 pixels_in,
-                                  const EncoderStats &work,
-                                  const RegionAttribution *attr)
-{
-    stats_.accumulate(work);
-    ++stats_.frames;
-    stats_.pixels_in += pixels_in;
-    stats_.pixels_encoded += out.pixels.size();
-    if (attribute_regions_)
-        last_attr_ = attr ? *attr : RegionAttribution{};
-    if (obs_frames_) {
-        obs_frames_->inc();
-        obs_pixels_in_->add(pixels_in);
-        obs_pixels_kept_->add(out.pixels.size());
-        obs_comparisons_->add(work.region_comparisons);
-        obs_compare_cycles_->add(work.compare_cycles);
-    }
-}
-
 EncodedFrame
 RhythmicEncoder::encodeFrame(const Image &gray, FrameIndex t)
 {
@@ -390,25 +372,62 @@ RhythmicEncoder::encodeFrame(const Image &gray, FrameIndex t)
                      gray.height(), ", configured ", frame_w_, "x",
                      frame_h_);
 
-    // The serial path is a single whole-frame band: the exact code the
-    // ParallelEncoder fans out per band, which is what makes serial and
-    // parallel output byte-identical by construction.
-    BandShard shard;
-    shard.pixels.reserve(static_cast<size_t>(frame_w_) * 4);
-    encodeBand(gray, t, 0, frame_h_, shard);
+    // Fan out one encodeBand job per band: encodeBand is const over the
+    // shared state (regions, config) and writes only its own shard.
+    pool_.partition(frame_h_, ranges_);
+    shards_.resize(ranges_.size());
+    pool_.run(ranges_.size(), [&](size_t b) {
+        encodeBand(gray, t, ranges_[b].first, ranges_[b].second, shards_[b]);
+    });
 
+    // Stitch: bands are in raster order and start on whole mask bytes, so
+    // concatenating their payloads and masks reproduces the one-band byte
+    // stream. A single band (the serial case) is moved, not copied.
     EncodedFrame out;
     out.index = t;
     out.width = frame_w_;
     out.height = frame_h_;
-    out.mask = std::move(shard.mask);
-    out.pixels = std::move(shard.pixels);
     out.offsets = RowOffsets(frame_h_);
-    for (i32 y = 0; y < frame_h_; ++y)
-        out.offsets.setRowCount(y, shard.row_counts[static_cast<size_t>(y)]);
+    if (shards_.size() == 1) {
+        out.mask = std::move(shards_[0].mask);
+        out.pixels = std::move(shards_[0].pixels);
+    } else {
+        out.mask = EncMask(frame_w_, frame_h_);
+        size_t total_pixels = 0;
+        for (const auto &shard : shards_)
+            total_pixels += shard.pixels.size();
+        out.pixels.reserve(total_pixels);
+        for (const auto &shard : shards_) {
+            out.mask.blitRows(shard.mask, shard.y0);
+            out.pixels.insert(out.pixels.end(), shard.pixels.begin(),
+                              shard.pixels.end());
+        }
+    }
 
-    commitFrameStats(out, static_cast<u64>(gray.pixelCount()), shard.work,
-                     &shard.attr);
+    // Every counter is a per-row sum, so the band sums are the frame's.
+    EncoderStats work;
+    RegionAttribution attr;
+    for (const auto &shard : shards_) {
+        for (i32 y = shard.y0; y < shard.y1; ++y)
+            out.offsets.setRowCount(
+                y, shard.row_counts[static_cast<size_t>(y - shard.y0)]);
+        work.accumulate(shard.work);
+        attr.accumulate(shard.attr);
+    }
+    const u64 pixels_in = static_cast<u64>(gray.pixelCount());
+    stats_.accumulate(work);
+    ++stats_.frames;
+    stats_.pixels_in += pixels_in;
+    stats_.pixels_encoded += out.pixels.size();
+    if (attribute_regions_)
+        last_attr_ = std::move(attr);
+    if (obs_frames_) {
+        obs_frames_->inc();
+        obs_pixels_in_->add(pixels_in);
+        obs_pixels_kept_->add(out.pixels.size());
+        obs_comparisons_->add(work.region_comparisons);
+        obs_compare_cycles_->add(work.compare_cycles);
+    }
     return out;
 }
 

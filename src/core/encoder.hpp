@@ -23,13 +23,23 @@
  * encodeFrame() and summarizeFrame() split each row into spans through one
  * sweep (sweepSpans). classify() and StreamingEncoder stay independent of
  * it: they are the per-pixel references the identity tests compare against.
+ *
+ * Config::threads > 1 is the software analogue of Table 5's parallel
+ * comparison engine at the row level: encodeFrame() cuts the frame into
+ * 4-row-aligned bands (BandPool), encodes each on a pool thread with the
+ * same per-row code, and stitches the shards. Output and stats are
+ * byte-identical for every thread count, because rows share no output
+ * state, each band's mask bits are whole bytes, and every work counter is
+ * a per-row sum. One thread is the same code with one band and no pool.
  */
 
 #ifndef RPX_CORE_ENCODER_HPP
 #define RPX_CORE_ENCODER_HPP
 
+#include <utility>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "core/encoded_frame.hpp"
 #include "core/region.hpp"
 #include "frame/image.hpp"
@@ -118,6 +128,10 @@ class RhythmicEncoder
         size_t fifo_depth = 16;         //!< input/output FIFO depth (§5.1)
         int engine_lanes = 16;          //!< parallel comparators per cycle
         bool require_sorted = true;     //!< insist on y-sorted label lists
+        /** Band worker threads; 1 = serial, 0 = one per hardware thread. */
+        int threads = 1;
+        /** Minimum rows per band, a positive multiple of 4. */
+        i32 min_band_rows = 16;
     };
 
     /**
@@ -133,6 +147,8 @@ class RhythmicEncoder
     i32 frameWidth() const { return frame_w_; }
     i32 frameHeight() const { return frame_h_; }
     const Config &config() const { return config_; }
+    /** Resolved band worker count (>= 1; Config::threads 0 resolves here). */
+    int threadCount() const { return pool_.threadCount(); }
 
     /**
      * Load a region label list (the runtime writes these into the encoder's
@@ -169,42 +185,6 @@ class RhythmicEncoder
     FrameSummary summarizeFrame(FrameIndex t) const;
 
     /**
-     * One horizontally-stitchable slice of an encoded frame: the rows
-     * [y0, y1) encoded exactly as encodeFrame() would, with the mask and
-     * row counts rebased to the band (mask row 0 == frame row y0) and all
-     * work counters accumulated into a band-local stats block.
-     */
-    struct BandShard {
-        i32 y0 = 0;                  //!< first frame row of the band
-        i32 y1 = 0;                  //!< one past the last frame row
-        EncMask mask;                //!< (frame_w, y1 - y0) band mask
-        std::vector<u8> pixels;      //!< packed band payload, raster order
-        std::vector<u32> row_counts; //!< encoded pixels per band row
-        EncoderStats work;           //!< band-local work counters
-        /** Band-local per-region work; empty unless attribution enabled. */
-        RegionAttribution attr;
-    };
-
-    /**
-     * Encode rows [y0, y1) of `gray` into `out`. Thread-safe: const, and
-     * all mutable state lives in the shard, so disjoint bands of the same
-     * frame can be encoded concurrently (the ParallelEncoder's fan-out).
-     * encodeFrame() is itself one whole-frame band plus commitFrameStats().
-     */
-    void encodeBand(const Image &gray, FrameIndex t, i32 y0, i32 y1,
-                    BandShard &out) const;
-
-    /**
-     * Fold one frame's worth of band work counters plus the assembled
-     * output into stats_ and the attached obs counters. ParallelEncoder
-     * calls this once per frame after stitching its shards, which keeps
-     * serial and parallel stats bit-identical.
-     */
-    void commitFrameStats(const EncodedFrame &out, u64 pixels_in,
-                          const EncoderStats &work,
-                          const RegionAttribution *attr = nullptr);
-
-    /**
      * Toggle per-region work attribution (off by default: the hot loops
      * then skip every attribution branch via a null pointer, keeping the
      * non-telemetry path cost-free). When on, each encoded frame also
@@ -214,7 +194,7 @@ class RhythmicEncoder
     bool regionAttributionEnabled() const { return attribute_regions_; }
 
     /**
-     * Per-region attribution of the most recently committed frame
+     * Per-region attribution of the most recently encoded frame
      * (empty when attribution is disabled). Indexed like regionLabels()
      * as of that frame — read it before the next setRegionLabels().
      */
@@ -252,6 +232,31 @@ class RhythmicEncoder
     bool withinCycleBudget() const;
 
   private:
+    /**
+     * One horizontally-stitchable slice of an encoded frame: the rows
+     * [y0, y1) encoded exactly as a whole-frame pass would, with the mask
+     * and row counts rebased to the band (mask row 0 == frame row y0) and
+     * all work counters accumulated into a band-local stats block.
+     */
+    struct BandShard {
+        i32 y0 = 0;                  //!< first frame row of the band
+        i32 y1 = 0;                  //!< one past the last frame row
+        EncMask mask;                //!< (frame_w, y1 - y0) band mask
+        std::vector<u8> pixels;      //!< packed band payload, raster order
+        std::vector<u32> row_counts; //!< encoded pixels per band row
+        EncoderStats work;           //!< band-local work counters
+        /** Band-local per-region work; empty unless attribution enabled. */
+        RegionAttribution attr;
+    };
+
+    /**
+     * Encode rows [y0, y1) of `gray` into `out`. Thread-safe: const, and
+     * all mutable state lives in the shard, so disjoint bands of the same
+     * frame encode concurrently.
+     */
+    void encodeBand(const Image &gray, FrameIndex t, i32 y0, i32 y1,
+                    BandShard &out) const;
+
     /** Row-shortlist entry with per-frame/per-row precomputation. */
     struct ShortlistEntry {
         const RegionLabel *region;
@@ -310,6 +315,10 @@ class RhythmicEncoder
     EncoderStats stats_;
     bool attribute_regions_ = false;
     RegionAttribution last_attr_;
+    BandPool pool_;
+    /** Per-frame band ranges and shards, reused across frames. */
+    std::vector<std::pair<i32, i32>> ranges_;
+    std::vector<BandShard> shards_;
 
     // Cached counter handles; null when no observer is attached.
     obs::Counter *obs_frames_ = nullptr;

@@ -91,11 +91,8 @@ FrameStore::store(EncodedFrame frame)
     dram_.write(addrs.mask.base, mask_bytes);
     dram_.write(addrs.offsets.base, offs_bytes);
     if (crc_protect_) {
-        const u32 crc = frame.metadata_crc;
-        const u8 cell[4] = {static_cast<u8>(crc),
-                            static_cast<u8>(crc >> 8),
-                            static_cast<u8>(crc >> 16),
-                            static_cast<u8>(crc >> 24)};
+        u8 cell[sizeof(u32)];
+        EncodedFrame::storeLE32(frame.metadata_crc, cell);
         dram_.write(addrs.crc.base, cell, sizeof(cell));
     }
 
@@ -104,26 +101,13 @@ FrameStore::store(EncodedFrame frame)
 
     if (report.meta_bytes_corrupted > 0) {
         // Keep the in-model slot coherent with the damaged DRAM image:
-        // rebuild mask and offsets from the corrupted bytes with the same
-        // reconstruction the decoder's metadata scratchpad applies (row
-        // counts from adjacent start-offset diffs; last row from the
-        // mask). The CRC seal still reflects the clean metadata, so
-        // validate() on this slot now reports the mismatch.
+        // rebuild mask and offsets from the corrupted bytes with the
+        // reconstruction the decoder's metadata scratchpad applies
+        // (unpackOffsets). The CRC seal still reflects the clean
+        // metadata, so validate() on this slot now reports the mismatch.
         frame.mask =
             EncMask(frame.width, frame.height, std::move(mask_bytes));
-        RowOffsets offsets(frame.height);
-        auto word = [&](i32 y) {
-            const size_t b = static_cast<size_t>(y) * 4;
-            return static_cast<u32>(offs_bytes[b]) |
-                   (static_cast<u32>(offs_bytes[b + 1]) << 8) |
-                   (static_cast<u32>(offs_bytes[b + 2]) << 16) |
-                   (static_cast<u32>(offs_bytes[b + 3]) << 24);
-        };
-        for (i32 y = 0; y + 1 < frame.height; ++y)
-            offsets.setRowCount(y, word(y + 1) - word(y));
-        offsets.setRowCount(frame.height - 1,
-                            frame.mask.encodedInRow(frame.height - 1));
-        frame.offsets = std::move(offsets);
+        frame.unpackOffsets(offs_bytes.data());
     }
 
     lifetime_.dma_retries += report.dma_retries;

@@ -4,50 +4,74 @@
 
 namespace rpx {
 
-SoftwareDecoder::SoftwareDecoder(const Config &config) : config_(config)
+SoftwareDecoder::SoftwareDecoder(const Config &config)
+    : config_(config), pool_(config.threads, config.min_band_rows)
 {
     if (config.max_upscan < 0)
         throwInvalid("max_upscan must be non-negative");
 }
 
 void
-SoftwareDecoder::decodeCoreInto(
+SoftwareDecoder::decodeValidatedInto(
     const EncodedFrame &current,
-    const std::vector<const EncodedFrame *> &history, i32 y0, i32 y1,
-    Image &out) const
+    const std::vector<const EncodedFrame *> &history, Image &out) const
 {
-    // caches_[0] serves the current frame, caches_[k] history[k - 1].
+    out.reinit(current.width, current.height, PixelFormat::Gray8,
+               config_.black_value);
+    pool_.partition(current.height, ranges_);
+    if (bands_.size() < ranges_.size())
+        bands_.resize(ranges_.size());
+    pool_.run(ranges_.size(), [&](size_t b) {
+        decodeBand(bands_[b], current, history, ranges_[b].first,
+                   ranges_[b].second, out);
+    });
+    // Both tallies count pixels, so the band sums are the frame's.
+    last_history_fills_ = 0;
+    last_black_ = 0;
+    for (size_t b = 0; b < ranges_.size(); ++b) {
+        last_history_fills_ += bands_[b].history_fills;
+        last_black_ += bands_[b].black;
+    }
+}
+
+void
+SoftwareDecoder::decodeBand(Band &band, const EncodedFrame &current,
+                            const std::vector<const EncodedFrame *> &history,
+                            i32 y0, i32 y1, Image &out) const
+{
+    // caches[0] serves the current frame, caches[k] history[k - 1].
     // validate() keeps the offset table inside the payload, but a corrupt
     // mask can still disagree with it, so each frame's payload size bounds
     // every derived index: an out-of-range source falls back, unread.
-    while (caches_.size() < history.size() + 1)
-        caches_.emplace_back();
-    caches_[0].rebind(&current);
-    sources_.assign(1, {&caches_[0], current.pixels.size()});
+    while (band.caches.size() < history.size() + 1)
+        band.caches.emplace_back();
+    band.caches[0].rebind(&current);
+    band.sources.assign(1, {&band.caches[0], current.pixels.size()});
     for (size_t k = 0; k < history.size(); ++k) {
-        caches_[k + 1].rebind(history[k]);
-        sources_.push_back({&caches_[k + 1], history[k]->pixels.size()});
+        band.caches[k + 1].rebind(history[k]);
+        band.sources.push_back(
+            {&band.caches[k + 1], history[k]->pixels.size()});
     }
-    last_history_fills_ = 0;
-    last_black_ = 0;
+    band.history_fills = 0;
+    band.black = 0;
     if (!config_.fast_path) {
-        referenceWalk(current, history, y0, y1, out);
+        referenceWalk(band, current, history, y0, y1, out);
         return;
     }
-    row_codes_.resize(static_cast<size_t>(current.width));
+    band.row_codes.resize(static_cast<size_t>(current.width));
     for (i32 y = y0; y < y1; ++y) {
         u8 *row = out.row(y);
         resolveSegment(
-            sources_, y, 0, current.width, config_.max_upscan,
-            row_codes_.data(),
+            band.sources, y, 0, current.width, config_.max_upscan,
+            band.row_codes.data(),
             [&](i32 x, PixelCode, const ResolvedSource &src) {
                 if (src.frame == ResolvedSource::kBlack) {
-                    ++last_black_; // already black
+                    ++band.black; // already black
                 } else if (src.frame == 0) {
                     row[x] = current.pixels[src.offset];
                 } else {
                     row[x] = history[src.frame - 1]->pixels[src.offset];
-                    ++last_history_fills_;
+                    ++band.history_fills;
                 }
             });
     }
@@ -55,7 +79,7 @@ SoftwareDecoder::decodeCoreInto(
 
 void
 SoftwareDecoder::referenceWalk(
-    const EncodedFrame &current,
+    Band &band, const EncodedFrame &current,
     const std::vector<const EncodedFrame *> &history, i32 y0, i32 y1,
     Image &out) const
 {
@@ -67,12 +91,12 @@ SoftwareDecoder::referenceWalk(
         for (i32 x = 0; x < current.width; ++x) {
             const PixelCode code = current.mask.at(x, y);
             if (code == PixelCode::N) {
-                ++last_black_;
+                ++band.black;
                 continue; // already black
             }
             if (code == PixelCode::R || code == PixelCode::St) {
-                auto src =
-                    findPixelSource(caches_[0], x, y, config_.max_upscan);
+                auto src = findPixelSource(band.caches[0], x, y,
+                                           config_.max_upscan);
                 if (src && src->offset < current.pixels.size()) {
                     row[x] = current.pixels[src->offset];
                     continue;
@@ -86,16 +110,16 @@ SoftwareDecoder::referenceWalk(
                 const PixelCode pcode = past.mask.at(x, y);
                 if (pcode != PixelCode::R && pcode != PixelCode::St)
                     continue;
-                auto src = findPixelSource(caches_[k + 1], x, y,
+                auto src = findPixelSource(band.caches[k + 1], x, y,
                                            config_.max_upscan);
                 if (src && src->offset < past.pixels.size()) {
                     row[x] = past.pixels[src->offset];
-                    ++last_history_fills_;
+                    ++band.history_fills;
                     filled = true;
                 }
             }
             if (!filled)
-                ++last_black_;
+                ++band.black;
         }
     }
 }
@@ -121,39 +145,7 @@ SoftwareDecoder::decodeInto(
         RPX_ASSERT(f->width == current.width && f->height == current.height,
                    "history frame geometry mismatch");
     }
-    out.reinit(current.width, current.height, PixelFormat::Gray8,
-               config_.black_value);
-    decodeCoreInto(current, history, 0, current.height, out);
-}
-
-void
-SoftwareDecoder::decodeBandInto(
-    const EncodedFrame &current,
-    const std::vector<const EncodedFrame *> &history, i32 y0, i32 y1,
-    Image &out) const
-{
-    RPX_ASSERT(out.width() == current.width &&
-                   out.height() == current.height &&
-                   out.format() == PixelFormat::Gray8,
-               "decodeBandInto output geometry mismatch");
-    RPX_ASSERT(y0 >= 0 && y0 <= y1 && y1 <= current.height,
-               "decodeBandInto band out of range");
-    decodeCoreInto(current, history, y0, y1, out);
-}
-
-void
-SoftwareDecoder::filterUsableHistory(
-    const EncodedFrame &current,
-    const std::vector<const EncodedFrame *> &history,
-    std::vector<const EncodedFrame *> &usable, size_t &skipped)
-{
-    for (const EncodedFrame *f : history) {
-        if (f != nullptr && f->width == current.width &&
-            f->height == current.height && f->validate())
-            usable.push_back(f);
-        else
-            ++skipped;
-    }
+    decodeValidatedInto(current, history, out);
 }
 
 SwDecodeStatus
@@ -169,13 +161,19 @@ SoftwareDecoder::tryDecode(const EncodedFrame &current,
         status.reason = std::move(why);
         return status;
     }
+    // Decode over the usable history (non-null, matching geometry,
+    // passing validate()) and count the rest as skipped.
     usable_.clear();
     if (usable_.capacity() < history.size())
         usable_.reserve(history.size());
-    filterUsableHistory(current, history, usable_, status.history_skipped);
-    out.reinit(current.width, current.height, PixelFormat::Gray8,
-               config_.black_value);
-    decodeCoreInto(current, usable_, 0, current.height, out);
+    for (const EncodedFrame *f : history) {
+        if (f != nullptr && f->width == current.width &&
+            f->height == current.height && f->validate())
+            usable_.push_back(f);
+        else
+            ++status.history_skipped;
+    }
+    decodeValidatedInto(current, usable_, out);
     return status;
 }
 

@@ -20,19 +20,28 @@
  * a per-pixel findPixelSource walk that shares no code with the resolver,
  * which the identity tests compare both decoders against.
  *
- * Decode scratch state (prefix caches, row code buffers, source lists) is
- * pooled in the instance, so steady-state decoding performs zero heap
- * allocations (asserted by tests/core/decode_alloc_test.cpp). The flip
- * side: a SoftwareDecoder instance is NOT safe for concurrent use — give
- * each thread its own (ParallelDecoder does exactly that per band).
+ * Config::threads > 1 decodes 4-row-aligned horizontal bands (the
+ * encoder's BandPool partition) on a pool. Each band writes its own output
+ * rows and only reads the shared encoded frames, and every band's prefix
+ * caches span the whole frame, so upscans and history lookups across a
+ * band boundary see what a one-band decode sees: the image and the
+ * history/black tallies are byte-identical for every thread count.
+ *
+ * Decode scratch (prefix caches, row code buffers, source lists, tallies)
+ * is pooled per band in the instance, so steady-state decoding on one
+ * band performs zero heap allocations (asserted by
+ * tests/core/decode_alloc_test.cpp). The flip side: a SoftwareDecoder
+ * instance is NOT safe for concurrent use — give each thread its own.
  */
 
 #ifndef RPX_CORE_SW_DECODER_HPP
 #define RPX_CORE_SW_DECODER_HPP
 
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "core/encoded_frame.hpp"
 #include "frame/image.hpp"
 
@@ -60,10 +69,17 @@ class SoftwareDecoder
          * reference walk, kept for differential testing.
          */
         bool fast_path = true;
+        /** Band worker threads; 1 = serial, 0 = one per hardware thread. */
+        int threads = 1;
+        /** Minimum rows per band, a positive multiple of 4. */
+        i32 min_band_rows = 16;
     };
 
     explicit SoftwareDecoder(const Config &config);
     SoftwareDecoder() : SoftwareDecoder(Config{}) {}
+
+    /** Resolved band worker count (>= 1; Config::threads 0 resolves here). */
+    int threadCount() const { return pool_.threadCount(); }
 
     /**
      * Decode `current` into a full grayscale frame. `history` lists older
@@ -84,18 +100,6 @@ class SoftwareDecoder
                     Image &out) const;
 
     /**
-     * Decode only rows [y0, y1) of `current` into `out`, which must
-     * already have the frame's geometry; rows outside the band are not
-     * touched. History lookups and upscans still see the whole frame, so
-     * banded decodes concatenate to exactly the full decode — this is
-     * ParallelDecoder's per-band primitive. Inputs must be pre-validated
-     * (decodeInto/tryDecode do that).
-     */
-    void decodeBandInto(const EncodedFrame &current,
-                        const std::vector<const EncodedFrame *> &history,
-                        i32 y0, i32 y1, Image &out) const;
-
-    /**
      * Corruption-safe decode. Validates `current` (bounds safety plus the
      * metadata CRC when sealed); on failure returns quarantined=true and
      * leaves `out` untouched — never throws on corrupt metadata, never
@@ -106,18 +110,6 @@ class SoftwareDecoder
                              const std::vector<const EncodedFrame *> &history,
                              Image &out) const;
 
-    /**
-     * The tryDecode history filter, exposed so band-parallel callers can
-     * validate once and fan out: appends the usable subset of `history`
-     * (non-null, geometry matches `current`, passes validate()) to
-     * `usable` and counts the rest into `skipped`.
-     */
-    static void
-    filterUsableHistory(const EncodedFrame &current,
-                        const std::vector<const EncodedFrame *> &history,
-                        std::vector<const EncodedFrame *> &usable,
-                        size_t &skipped);
-
     /** Number of pixels the last decode filled from history frames. */
     u64 lastHistoryFills() const { return last_history_fills_; }
 
@@ -125,27 +117,40 @@ class SoftwareDecoder
     u64 lastBlackPixels() const { return last_black_; }
 
   private:
+    /** One band's decode scratch, pooled across frames. */
+    struct Band {
+        std::vector<MaskPrefixCache> caches; //!< [0] current frame
+        std::vector<SourceFrame> sources;
+        std::vector<u8> row_codes;
+        u64 history_fills = 0;
+        u64 black = 0;
+    };
+
     /**
-     * Shared bounds-checked reconstruction over pre-validated frames,
-     * writing rows [y0, y1) of `out` (already shaped and black-filled).
+     * Reshape `out` to the frame, black-fill it and reconstruct every band
+     * over pre-validated frames, then sum the band tallies.
      */
-    void decodeCoreInto(const EncodedFrame &current,
-                        const std::vector<const EncodedFrame *> &history,
-                        i32 y0, i32 y1, Image &out) const;
+    void decodeValidatedInto(const EncodedFrame &current,
+                             const std::vector<const EncodedFrame *> &history,
+                             Image &out) const;
+    /** Reconstruct rows [y0, y1) of `out` with `band`'s scratch. */
+    void decodeBand(Band &band, const EncodedFrame &current,
+                    const std::vector<const EncodedFrame *> &history,
+                    i32 y0, i32 y1, Image &out) const;
     /** The Config::fast_path = false per-pixel reference walk. */
-    void referenceWalk(const EncodedFrame &current,
+    void referenceWalk(Band &band, const EncodedFrame &current,
                        const std::vector<const EncodedFrame *> &history,
                        i32 y0, i32 y1, Image &out) const;
 
     Config config_;
+    BandPool pool_;
     mutable u64 last_history_fills_ = 0;
     mutable u64 last_black_ = 0;
-    // Pooled decode scratch (cleared/rebound per frame, never shrunk) —
-    // what makes steady-state decode allocation-free and the instance
+    // Pooled decode scratch (rebound per frame, never shrunk) — what makes
+    // steady-state decode allocation-free and the instance
     // single-threaded.
-    mutable std::vector<MaskPrefixCache> caches_; //!< [0] current frame
-    mutable std::vector<SourceFrame> sources_;
-    mutable std::vector<u8> row_codes_;
+    mutable std::vector<std::pair<i32, i32>> ranges_;
+    mutable std::vector<Band> bands_;
     mutable std::vector<const EncodedFrame *> usable_;
 };
 

@@ -77,17 +77,17 @@ StreamContext::StreamContext(const PipelineConfig &config,
                                              config.height);
     runtime_ = std::make_unique<RegionRuntime>(*driver_);
 
-    ParallelEncoder::Config ec;
-    ec.encoder.mode = config.comparison_mode;
+    RhythmicEncoder::Config ec;
+    ec.mode = config.comparison_mode;
     ec.threads = config.encoder_threads;
-    encoder_ = std::make_unique<ParallelEncoder>(config.width,
+    encoder_ = std::make_unique<RhythmicEncoder>(config.width,
                                                  config.height, ec);
     store_ = std::make_unique<FrameStore>(*dram_, config.width,
                                           config.height, config.history);
 
-    ParallelDecoder::Config dc;
+    SoftwareDecoder::Config dc;
     dc.threads = config.decoder_threads;
-    sw_decoder_ = std::make_unique<ParallelDecoder>(dc);
+    sw_decoder_ = std::make_unique<SoftwareDecoder>(dc);
 
     if (config.fault.enabled() || force_degradation) {
         if (config.fault.plan) {

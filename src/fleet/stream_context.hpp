@@ -27,8 +27,7 @@
 #include "baseline/frame_based.hpp"
 #include "core/encoder.hpp"
 #include "core/frame_store.hpp"
-#include "core/parallel_decoder.hpp"
-#include "core/parallel_encoder.hpp"
+#include "core/sw_decoder.hpp"
 #include "fault/degradation.hpp"
 #include "fault/fault.hpp"
 #include "isp/isp_pipeline.hpp"
@@ -232,11 +231,11 @@ class StreamContext
 
     RegionRuntime &runtime() { return *runtime_; }
     RegisterFile &registers() { return registers_; }
-    ParallelEncoder &encoder() { return *encoder_; }
-    const ParallelEncoder &encoder() const { return *encoder_; }
+    RhythmicEncoder &encoder() { return *encoder_; }
+    const RhythmicEncoder &encoder() const { return *encoder_; }
     FrameStore &store() { return *store_; }
     const FrameStore &store() const { return *store_; }
-    ParallelDecoder &swDecoder() { return *sw_decoder_; }
+    SoftwareDecoder &swDecoder() { return *sw_decoder_; }
     DramModel &dram() { return *dram_; }
     const DramModel &dram() const { return *dram_; }
     SensorModel &sensor() { return sensor_; }
@@ -281,9 +280,9 @@ class StreamContext
     RegisterFile registers_;
     std::unique_ptr<RegionDriver> driver_;
     std::unique_ptr<RegionRuntime> runtime_;
-    std::unique_ptr<ParallelEncoder> encoder_;
+    std::unique_ptr<RhythmicEncoder> encoder_;
     std::unique_ptr<FrameStore> store_;
-    std::unique_ptr<ParallelDecoder> sw_decoder_;
+    std::unique_ptr<SoftwareDecoder> sw_decoder_;
     TrafficSummary traffic_;
     FrameIndex next_frame_ = 0;
 

@@ -1,8 +1,9 @@
 /** @file Unit tests for logging levels and the error helpers. */
 
+#include <cctype>
 #include <iostream>
-#include <regex>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -27,16 +28,64 @@ class CerrCapture
     std::streambuf *old_;
 };
 
-/** "[HH:MM:SS.mmm] " wall-clock prefix every emitted line carries. */
-const std::regex kStampedLine(
-    R"(\[\d{2}:\d{2}:\d{2}\.\d{3}\] [^\n]*\n)");
+/** Length of the "[HH:MM:SS.mmm] " wall-clock prefix of every line. */
+constexpr size_t kStampLen = 15;
+
+/** True iff a "[HH:MM:SS.mmm] " stamp starts at `pos` of `s`. */
+bool
+stampAt(std::string_view s, size_t pos)
+{
+    constexpr std::string_view kShape = "[dd:dd:dd.ddd] ";
+    if (pos > s.size() || s.size() - pos < kShape.size())
+        return false;
+    for (size_t i = 0; i < kShape.size(); ++i) {
+        const unsigned char c = static_cast<unsigned char>(s[pos + i]);
+        if (kShape[i] == 'd' ? !std::isdigit(c) : c != kShape[i])
+            return false;
+    }
+    return true;
+}
 
 /** Strip the timestamp prefixes so tests can compare message content. */
 std::string
-withoutStamps(const std::string &text)
+withoutStamps(std::string_view text)
 {
-    return std::regex_replace(
-        text, std::regex(R"(\[\d{2}:\d{2}:\d{2}\.\d{3}\] )"), "");
+    std::string out;
+    for (size_t i = 0; i < text.size();) {
+        if (stampAt(text, i))
+            i += kStampLen;
+        else
+            out += text[i++];
+    }
+    return out;
+}
+
+/** True iff `text` is exactly one stamped, newline-terminated line. */
+bool
+isStampedLine(std::string_view text)
+{
+    return stampAt(text, 0) && text.find('\n') == text.size() - 1;
+}
+
+/** Consume `lit` at `pos` of `s`. */
+bool
+eat(std::string_view s, size_t &pos, std::string_view lit)
+{
+    if (s.substr(pos, lit.size()) != lit)
+        return false;
+    pos += lit.size();
+    return true;
+}
+
+/** Consume one or more digits at `pos` of `s`. */
+bool
+eatDigits(std::string_view s, size_t &pos)
+{
+    const size_t start = pos;
+    while (pos < s.size() &&
+           std::isdigit(static_cast<unsigned char>(s[pos])))
+        ++pos;
+    return pos > start;
 }
 
 class LoggingTest : public ::testing::Test
@@ -50,8 +99,7 @@ TEST_F(LoggingTest, WarnEmittedAtDefaultLevel)
     CerrCapture capture;
     warn("disk ", 42, " is wobbly");
     EXPECT_EQ(withoutStamps(capture.text()), "warn: disk 42 is wobbly\n");
-    EXPECT_TRUE(std::regex_match(capture.text(), kStampedLine))
-        << capture.text();
+    EXPECT_TRUE(isStampedLine(capture.text())) << capture.text();
 }
 
 TEST_F(LoggingTest, InfoSuppressedAtDefaultLevel)
@@ -136,10 +184,16 @@ TEST_F(LoggingTest, ConcurrentWarnsDoNotInterleaveWithinLines)
     std::istringstream lines(capture.text());
     std::string line;
     int count = 0;
-    const std::regex line_re(
-        R"(\[\d{2}:\d{2}:\d{2}\.\d{3}\] warn: thread \d+ message \d+ end)");
     while (std::getline(lines, line)) {
-        EXPECT_TRUE(std::regex_match(line, line_re)) << line;
+        // "[HH:MM:SS.mmm] warn: thread <n> message <k> end"
+        size_t pos = kStampLen;
+        const bool whole = stampAt(line, 0) &&
+                           eat(line, pos, "warn: thread ") &&
+                           eatDigits(line, pos) &&
+                           eat(line, pos, " message ") &&
+                           eatDigits(line, pos) && eat(line, pos, " end") &&
+                           pos == line.size();
+        EXPECT_TRUE(whole) << line;
         ++count;
     }
     EXPECT_EQ(count, kThreads * kPerThread);

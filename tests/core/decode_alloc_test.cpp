@@ -6,8 +6,9 @@
  * it can assert that — after a warm-up decode populates the pooled
  * scratch (prefix caches, row-code buffers, the RhythmicDecoder's frame
  * arena) — repeated decodes of same-geometry frames perform ZERO heap
- * allocations: SoftwareDecoder::decodeInto, ParallelDecoder (threads=1),
- * and RhythmicDecoder::requestPixelsInto alike.
+ * allocations: SoftwareDecoder::decodeInto and tryDecode (also on a
+ * threaded decoder whose frame fits one band), and
+ * RhythmicDecoder::requestPixelsInto alike.
  *
  * The hooks are process-global, which is exactly why this suite lives in
  * its own binary: no other test sees the counting allocator, and gtest's
@@ -26,7 +27,6 @@
 #include "core/decoder.hpp"
 #include "core/encoder.hpp"
 #include "core/frame_store.hpp"
-#include "core/parallel_decoder.hpp"
 #include "core/sw_decoder.hpp"
 #include "memory/dram.hpp"
 
@@ -58,25 +58,28 @@ operator new[](std::size_t size)
     return operator new(size);
 }
 
-void
+// The deletes stay out of line: inlined into a `delete` expression, their
+// free() trips GCC's -Wmismatched-new-delete against the operator new
+// above.
+[[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, std::size_t) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p, std::size_t) noexcept
 {
     std::free(p);
@@ -98,13 +101,13 @@ operator new[](std::size_t size, const std::nothrow_t &tag) noexcept
     return operator new(size, tag);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, const std::nothrow_t &) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p, const std::nothrow_t &) noexcept
 {
     std::free(p);
@@ -203,7 +206,12 @@ TEST(DecodeAlloc, ParallelDecoderSerialPathAllocatesNothing)
     const EncodedFrame f1 = enc.encodeFrame(noiseFrame(w, h, 22), 1);
     const std::vector<const EncodedFrame *> history = {&f0};
 
-    ParallelDecoder dec; // threads = 1: the inline serial path
+    // A threaded decoder whose frame fits one band (min_band_rows covers
+    // all 72 rows) decodes inline on band 0: no pool job, no allocation.
+    SoftwareDecoder::Config cfg;
+    cfg.threads = 4;
+    cfg.min_band_rows = 72;
+    const SoftwareDecoder dec(cfg);
     Image out;
     dec.decodeInto(f1, history, out);
     dec.decodeInto(f1, history, out);

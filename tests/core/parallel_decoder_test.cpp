@@ -1,8 +1,8 @@
 /**
  * @file
- * Decode-path identity suite (ISSUE 8), modeled on the ParallelEncoder
- * suite from ISSUE 4: the reference per-pixel walk, the vectorised
- * row-run fast path, and the band-parallel decoder must produce
+ * Decode-path identity suite, modeled on the encoder's band-parallel
+ * suite: the reference per-pixel walk, the vectorised row-run fast path,
+ * and the band-parallel decoder (Config::threads > 1) must produce
  * byte-identical images (and matching history/black tallies) for every
  * comparison mode, thread count, awkward geometry, and SIMD level —
  * including the corruption-safe tryDecode path with quarantined frames.
@@ -16,8 +16,8 @@
 
 #include "common/rng.hpp"
 #include "common/simd.hpp"
+#include "common/thread_pool.hpp"
 #include "core/encoder.hpp"
-#include "core/parallel_decoder.hpp"
 #include "core/sw_decoder.hpp"
 #include "frame/draw.hpp"
 
@@ -117,10 +117,10 @@ TEST(ParallelDecoder, BitIdenticalToSerialAcrossModesAndThreads)
             EXPECT_EQ(fast.lastBlackPixels(), reference.lastBlackPixels());
 
             for (const int threads : thread_counts) {
-                ParallelDecoder::Config pcfg;
+                SoftwareDecoder::Config pcfg;
                 pcfg.threads = threads;
                 pcfg.min_band_rows = 4; // force many bands on small frames
-                ParallelDecoder parallel(pcfg);
+                const SoftwareDecoder parallel(pcfg);
                 Image got;
                 parallel.decodeInto(frames[0], history, got);
                 EXPECT_EQ(got.data(), want.data())
@@ -150,10 +150,10 @@ TEST(ParallelDecoder, BitIdenticalAtEverySimdLevel)
 
     for (const simd::Level level : simd::supportedLevels()) {
         ASSERT_TRUE(simd::setLevel(level));
-        ParallelDecoder::Config pcfg;
+        SoftwareDecoder::Config pcfg;
         pcfg.threads = 2;
         pcfg.min_band_rows = 4;
-        ParallelDecoder parallel(pcfg);
+        const SoftwareDecoder parallel(pcfg);
         Image got;
         parallel.decodeInto(frames[0], history, got);
         EXPECT_EQ(got.data(), want.data())
@@ -190,10 +190,10 @@ TEST(ParallelDecoder, TryDecodeMatchesSerialWithQuarantinedFrames)
     EXPECT_EQ(want_st.history_skipped, 2u);
 
     for (const int threads : {1, 2, 7}) {
-        ParallelDecoder::Config pcfg;
+        SoftwareDecoder::Config pcfg;
         pcfg.threads = threads;
         pcfg.min_band_rows = 4;
-        ParallelDecoder parallel(pcfg);
+        const SoftwareDecoder parallel(pcfg);
         Image got;
         const SwDecodeStatus st =
             parallel.tryDecode(frames[0], history, got);
@@ -222,7 +222,8 @@ TEST(ParallelDecoder, BandsAlignWithEncoderPartition)
 {
     for (const i32 rows : {1, 3, 4, 16, 17, 33, 47, 480, 1080}) {
         for (const int bands : {1, 2, 3, 7, 16}) {
-            const auto ranges = ParallelDecoder::partition(rows, bands, 4);
+            std::vector<std::pair<i32, i32>> ranges;
+            BandPool::partition(rows, bands, 4, ranges);
             ASSERT_FALSE(ranges.empty());
             i32 next = 0;
             for (const auto &[y0, y1] : ranges) {
@@ -239,22 +240,62 @@ TEST(ParallelDecoder, BandsAlignWithEncoderPartition)
 
 TEST(ParallelDecoder, ZeroThreadsResolvesToHardwareConcurrency)
 {
-    ParallelDecoder::Config cfg;
+    SoftwareDecoder::Config cfg;
     cfg.threads = 0;
-    ParallelDecoder dec(cfg);
+    const SoftwareDecoder dec(cfg);
     EXPECT_GE(dec.threadCount(), 1);
 }
 
 TEST(ParallelDecoder, RejectsBadConfig)
 {
-    ParallelDecoder::Config cfg;
+    SoftwareDecoder::Config cfg;
     cfg.threads = -1;
-    EXPECT_THROW(ParallelDecoder{cfg}, std::invalid_argument);
+    EXPECT_THROW(SoftwareDecoder{cfg}, std::invalid_argument);
     cfg.threads = 2;
     cfg.min_band_rows = 6; // not a multiple of 4
-    EXPECT_THROW(ParallelDecoder{cfg}, std::invalid_argument);
+    EXPECT_THROW(SoftwareDecoder{cfg}, std::invalid_argument);
     cfg.min_band_rows = 0;
-    EXPECT_THROW(ParallelDecoder{cfg}, std::invalid_argument);
+    EXPECT_THROW(SoftwareDecoder{cfg}, std::invalid_argument);
+}
+
+/**
+ * The entry checks run once, before any band does, at every thread count:
+ * decodeInto rejects a wrong-geometry history frame, and tryDecode
+ * quarantines a corrupt frame with the reason validate() gives.
+ */
+TEST(ParallelDecoder, EntryChecksHoldAtEveryThreadCount)
+{
+    const i32 w = 64, h = 47;
+    const std::vector<EncodedFrame> frames =
+        encodeSequence(w, h, ComparisonMode::Hybrid, 21);
+    const std::vector<EncodedFrame> other =
+        encodeSequence(w + 8, h, ComparisonMode::Hybrid, 22);
+    std::vector<const EncodedFrame *> history = historyOf(frames);
+    history.push_back(&other[0]);
+
+    EncodedFrame bad = frames[0];
+    bad.pixels.resize(bad.pixels.size() / 2);
+    std::string want_reason;
+    ASSERT_FALSE(bad.validate(&want_reason));
+
+    for (const int threads : {1, 4}) {
+        SoftwareDecoder::Config cfg;
+        cfg.threads = threads;
+        cfg.min_band_rows = 4;
+        const SoftwareDecoder dec(cfg);
+        Image out;
+        EXPECT_THROW(dec.decodeInto(frames[0], history, out),
+                     std::runtime_error)
+            << "threads=" << threads;
+
+        Image untouched(3, 3, PixelFormat::Gray8, 200);
+        const SwDecodeStatus st =
+            dec.tryDecode(bad, historyOf(frames), untouched);
+        EXPECT_FALSE(st.ok) << "threads=" << threads;
+        EXPECT_TRUE(st.quarantined);
+        EXPECT_EQ(st.reason, want_reason) << "threads=" << threads;
+        EXPECT_EQ(untouched.at(1, 1), 200);
+    }
 }
 
 } // namespace

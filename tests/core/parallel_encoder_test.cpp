@@ -1,9 +1,12 @@
-/** @file Serial-vs-parallel bit-identity tests for the ParallelEncoder. */
+/**
+ * @file Serial-vs-parallel bit-identity tests for RhythmicEncoder's row-band
+ * fan-out (Config::threads > 1).
+ */
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "core/parallel_encoder.hpp"
+#include "core/encoder.hpp"
 #include "frame/draw.hpp"
 
 namespace rpx {
@@ -89,11 +92,11 @@ TEST(ParallelEncoder, BitIdenticalToSerialAcrossModesAndThreads)
                 scfg.mode = mode;
                 RhythmicEncoder serial(w, h, scfg);
 
-                ParallelEncoder::Config pcfg;
-                pcfg.encoder.mode = mode;
+                RhythmicEncoder::Config pcfg;
+                pcfg.mode = mode;
                 pcfg.threads = threads;
                 pcfg.min_band_rows = 4; // force many bands on small frames
-                ParallelEncoder parallel(w, h, pcfg);
+                RhythmicEncoder parallel(w, h, pcfg);
 
                 const auto regions = scatterRegions(
                     w, h, 0xA5u * static_cast<u64>(w + h), 12);
@@ -121,10 +124,10 @@ TEST(ParallelEncoder, HandlesEmptyRegionListAndFullFrame)
 {
     const i32 w = 40, h = 37;
     RhythmicEncoder serial(w, h);
-    ParallelEncoder::Config pcfg;
+    RhythmicEncoder::Config pcfg;
     pcfg.threads = 3;
     pcfg.min_band_rows = 4;
-    ParallelEncoder parallel(w, h, pcfg);
+    RhythmicEncoder parallel(w, h, pcfg);
     const Image frame = noiseFrame(w, h, 99);
 
     for (const std::vector<RegionLabel> &regions :
@@ -142,7 +145,8 @@ TEST(ParallelEncoder, PartitionCoversAllRowsWithAlignedBands)
 {
     for (const i32 rows : {1, 3, 4, 16, 17, 33, 47, 480, 1080}) {
         for (const int bands : {1, 2, 3, 7, 16}) {
-            const auto ranges = ParallelEncoder::partition(rows, bands, 4);
+            std::vector<std::pair<i32, i32>> ranges;
+            BandPool::partition(rows, bands, 4, ranges);
             ASSERT_FALSE(ranges.empty());
             i32 next = 0;
             for (const auto &[y0, y1] : ranges) {
@@ -160,22 +164,42 @@ TEST(ParallelEncoder, PartitionCoversAllRowsWithAlignedBands)
 
 TEST(ParallelEncoder, ZeroThreadsResolvesToHardwareConcurrency)
 {
-    ParallelEncoder::Config cfg;
+    RhythmicEncoder::Config cfg;
     cfg.threads = 0;
-    ParallelEncoder enc(32, 32, cfg);
+    RhythmicEncoder enc(32, 32, cfg);
     EXPECT_GE(enc.threadCount(), 1);
 }
 
 TEST(ParallelEncoder, RejectsBadConfig)
 {
-    ParallelEncoder::Config cfg;
+    RhythmicEncoder::Config cfg;
     cfg.threads = -1;
-    EXPECT_THROW(ParallelEncoder(32, 32, cfg), std::invalid_argument);
+    EXPECT_THROW(RhythmicEncoder(32, 32, cfg), std::invalid_argument);
     cfg.threads = 2;
     cfg.min_band_rows = 6; // not a multiple of 4
-    EXPECT_THROW(ParallelEncoder(32, 32, cfg), std::invalid_argument);
+    EXPECT_THROW(RhythmicEncoder(32, 32, cfg), std::invalid_argument);
     cfg.min_band_rows = 0;
-    EXPECT_THROW(ParallelEncoder(32, 32, cfg), std::invalid_argument);
+    EXPECT_THROW(RhythmicEncoder(32, 32, cfg), std::invalid_argument);
+}
+
+/** The entry checks run before any band does, at every thread count. */
+TEST(ParallelEncoder, EntryChecksHoldAtEveryThreadCount)
+{
+    const i32 w = 32, h = 32;
+    for (const int threads : {1, 4}) {
+        RhythmicEncoder::Config cfg;
+        cfg.threads = threads;
+        cfg.min_band_rows = 4;
+        RhythmicEncoder enc(w, h, cfg);
+        enc.setRegionLabels({fullFrameRegion(w, h)});
+        const Image rgb(w, h, PixelFormat::Rgb8);
+        EXPECT_THROW(enc.encodeFrame(rgb, 0), std::invalid_argument)
+            << "threads=" << threads;
+        EXPECT_THROW(enc.encodeFrame(noiseFrame(w, h / 2, 5), 0),
+                     std::invalid_argument)
+            << "threads=" << threads;
+        EXPECT_EQ(enc.stats().frames, 0u) << "a rejected frame counts";
+    }
 }
 
 } // namespace

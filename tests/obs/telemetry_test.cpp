@@ -23,7 +23,6 @@
 
 #include "common/rng.hpp"
 #include "core/encoder.hpp"
-#include "core/parallel_encoder.hpp"
 #include "frame/draw.hpp"
 #include "obs/obs.hpp"
 #include "obs/telemetry.hpp"
@@ -108,9 +107,9 @@ TEST(RegionAttribution, ParallelEncoderMatchesSerial)
     serial.setRegionLabels(labels);
     serial.enableRegionAttribution(true);
 
-    ParallelEncoder::Config cfg;
+    RhythmicEncoder::Config cfg;
     cfg.threads = 4;
-    ParallelEncoder parallel(w, h, cfg);
+    RhythmicEncoder parallel(w, h, cfg);
     parallel.setRegionLabels(labels);
     parallel.enableRegionAttribution(true);
 

@@ -149,7 +149,7 @@ TEST(Pipeline, ThreadedEncoderMatchesSerialPipeline)
     threaded_cfg.encoder_threads = 3;
     VisionPipeline serial(serial_cfg);
     VisionPipeline threaded(threaded_cfg);
-    EXPECT_GE(threaded.parallelEncoder().threadCount(), 3);
+    EXPECT_GE(threaded.encoder().threadCount(), 3);
 
     const std::vector<RegionLabel> labels = {
         {4, 2, 30, 20, 2, 1, 0},

@@ -50,25 +50,28 @@ operator new[](std::size_t size)
     return operator new(size);
 }
 
-void
+// The deletes stay out of line: inlined into a `delete` expression, their
+// free() trips GCC's -Wmismatched-new-delete against the operator new
+// above.
+[[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, std::size_t) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p, std::size_t) noexcept
 {
     std::free(p);
@@ -90,13 +93,13 @@ operator new[](std::size_t size, const std::nothrow_t &tag) noexcept
     return operator new(size, tag);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, const std::nothrow_t &) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p, const std::nothrow_t &) noexcept
 {
     std::free(p);
