@@ -6,7 +6,9 @@
  *  - hardware-decoder transaction service (modelled latency is tens of
  *    ns; wall-clock here measures the simulator);
  *  - software decoder: a few ms for a 1080p frame, scaling linearly with
- *    the fraction of regional pixels.
+ *    the fraction of regional pixels;
+ *  - descriptor matching: the ~500x500 ORB match the feature policy and
+ *    the SLAM tracker each run every frame.
  *
  * After the microbenchmarks, a short deterministic end-to-end pipeline
  * section (telemetry attached) contributes the model-kind headline
@@ -33,6 +35,7 @@
 #include "core/encoder.hpp"
 #include "core/frame_store.hpp"
 #include "core/sw_decoder.hpp"
+#include "datasets/slam_dataset.hpp"
 #include "frame/draw.hpp"
 #include "memory/dram.hpp"
 #include "obs/bench_report.hpp"
@@ -40,6 +43,7 @@
 #include "obs/perf_registry.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/pipeline.hpp"
+#include "vision/matcher.hpp"
 
 namespace rpx {
 namespace {
@@ -203,6 +207,43 @@ BM_ParallelDecoder1080p(benchmark::State &state)
 }
 BENCHMARK(BM_ParallelDecoder1080p)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
+
+/**
+ * ORB descriptors of two consecutive frames of the default SLAM sequence:
+ * the query/train pair FeaturePolicy::observe matches every frame.
+ */
+struct DescriptorPair {
+    std::vector<Descriptor> query; //!< frame 1
+    std::vector<Descriptor> train; //!< frame 0
+};
+
+const DescriptorPair &
+slamDescriptorPair()
+{
+    static const DescriptorPair pair = [] {
+        const SlamSequence seq;
+        return DescriptorPair{descriptorsOf(detectOrb(seq.renderFrame(1))),
+                              descriptorsOf(detectOrb(seq.renderFrame(0)))};
+    }();
+    return pair;
+}
+
+/** Brute-force match of the SLAM descriptor pair (default options). */
+void
+BM_MatchDescriptors(benchmark::State &state)
+{
+    const DescriptorPair &pair = slamDescriptorPair();
+    size_t matches = 0;
+    for (auto _ : state) {
+        const std::vector<Match> m = matchDescriptors(pair.query, pair.train);
+        matches = m.size();
+        benchmark::DoNotOptimize(m.data());
+    }
+    state.counters["query"] = static_cast<double>(pair.query.size());
+    state.counters["train"] = static_cast<double>(pair.train.size());
+    state.counters["matches"] = static_cast<double>(matches);
+}
+BENCHMARK(BM_MatchDescriptors)->Unit(benchmark::kMicrosecond);
 
 /**
  * Console reporter that also mirrors every run into a PerfRegistry so
@@ -375,6 +416,20 @@ addDecoderModelTrendMetrics(obs::BenchReport &report)
                      "px/cycle", "higher", "model");
 }
 
+/**
+ * Matches found on the SLAM descriptor pair: exact search makes the count a
+ * pure function of the descriptors, so it gates like a model metric.
+ */
+void
+addMatcherModelTrendMetrics(obs::BenchReport &report)
+{
+    const DescriptorPair &pair = slamDescriptorPair();
+    report.setMetric(
+        "match_count",
+        static_cast<double>(matchDescriptors(pair.query, pair.train).size()),
+        "matches", "higher", "model");
+}
+
 /** Wall-clock headline metrics from the microbenchmark gauges (if run). */
 void
 addMicrobenchTrendMetrics(obs::BenchReport &report,
@@ -391,6 +446,9 @@ addMicrobenchTrendMetrics(obs::BenchReport &report,
                              ".real_time_ns", v))
         report.setMetric("sw_decode_ms_30pct", v / 1e6, "ms", "lower",
                          "wall");
+    if (benchutil::findGauge(samples, "BM_MatchDescriptors",
+                             ".real_time_ns", v))
+        report.setMetric("match_us", v / 1e3, "us", "lower", "wall");
 }
 
 } // namespace
@@ -414,6 +472,7 @@ main(int argc, char **argv)
     rpx::addPipelineTrendMetrics(report, registry);
     rpx::addEncoderModelTrendMetrics(report);
     rpx::addDecoderModelTrendMetrics(report);
+    rpx::addMatcherModelTrendMetrics(report);
     rpx::addMicrobenchTrendMetrics(report, registry);
 
     const std::string report_path =

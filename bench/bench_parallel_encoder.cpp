@@ -5,8 +5,9 @@
  * across thread counts and region loads.
  *
  * Each run reports
- *  - speedup_vs_serial: serial ns/frame divided by this run's ns/frame
- *    (the acceptance bar is >= 2x at 4 threads);
+ *  - speedup_vs_serial: the threads = 1 row's ns/frame divided by this
+ *    row's (the acceptance bar is >= 2x at 4 threads). Both rows come from
+ *    the same harness, and threads = 1 runs exactly the serial encoder;
  *  - bit_identical: 1 iff the parallel output matched the serial output
  *    byte-for-byte before timing started (a speedup that changes bytes
  *    would be meaningless);
@@ -72,23 +73,6 @@ scatterRegions(int count, u64 seed)
     return regions;
 }
 
-/** Mean serial encode time (ns/frame) for the given label list. */
-double
-serialNsPerFrame(const std::vector<RegionLabel> &regions)
-{
-    RhythmicEncoder enc(kW, kH);
-    enc.setRegionLabels(regions);
-    FrameIndex t = 0;
-    enc.encodeFrame(noiseFrame1080p(), t++); // warm-up
-    const int reps = 5;
-    const auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < reps; ++i)
-        benchmark::DoNotOptimize(enc.encodeFrame(noiseFrame1080p(), t++));
-    const std::chrono::duration<double, std::nano> elapsed =
-        std::chrono::steady_clock::now() - start;
-    return elapsed.count() / reps;
-}
-
 /** 1 iff parallel output matches serial output byte-for-byte. */
 bool
 bitIdentical(RhythmicEncoder &par, const std::vector<RegionLabel> &regions)
@@ -103,8 +87,7 @@ bitIdentical(RhythmicEncoder &par, const std::vector<RegionLabel> &regions)
 
 void
 runParallelEncode(benchmark::State &state,
-                  const std::vector<RegionLabel> &regions,
-                  double serial_ns)
+                  const std::vector<RegionLabel> &regions)
 {
     RhythmicEncoder::Config cfg;
     cfg.threads = static_cast<int>(state.range(0));
@@ -125,7 +108,6 @@ runParallelEncode(benchmark::State &state,
     }
     const double ns_per_frame =
         total_s * 1e9 / static_cast<double>(state.iterations());
-    state.counters["speedup_vs_serial"] = serial_ns / ns_per_frame;
     state.counters["bit_identical"] = identical ? 1 : 0;
     state.counters["Mpixel/s"] =
         static_cast<double>(kW) * kH / ns_per_frame * 1e3;
@@ -137,8 +119,7 @@ BM_ParallelEncoderDense1080p(benchmark::State &state)
 {
     static const std::vector<RegionLabel> regions = {
         fullFrameRegion(kW, kH)};
-    static const double serial_ns = serialNsPerFrame(regions);
-    runParallelEncode(state, regions, serial_ns);
+    runParallelEncode(state, regions);
 }
 BENCHMARK(BM_ParallelEncoderDense1080p)
     ->Arg(1)
@@ -153,8 +134,7 @@ void
 BM_ParallelEncoderRegions1080p(benchmark::State &state)
 {
     static const std::vector<RegionLabel> regions = scatterRegions(400, 5);
-    static const double serial_ns = serialNsPerFrame(regions);
-    runParallelEncode(state, regions, serial_ns);
+    runParallelEncode(state, regions);
 }
 BENCHMARK(BM_ParallelEncoderRegions1080p)
     ->Arg(1)
@@ -199,6 +179,31 @@ class RegistryReporter : public benchmark::ConsoleReporter
     obs::PerfRegistry &registry_;
 };
 
+/**
+ * bench.<family>/<N>.speedup_vs_serial for every run thread count N: the
+ * family's /1 row time over its /N row time.
+ */
+void
+addSpeedupGauges(obs::PerfRegistry &registry)
+{
+    const auto samples = registry.snapshot();
+    for (const std::string family :
+         {"BM_ParallelEncoderDense1080p", "BM_ParallelEncoderRegions1080p"}) {
+        double serial_ns = 0.0;
+        if (!benchutil::findGauge(samples, family + "/1/", ".real_time_ns",
+                                  serial_ns))
+            continue;
+        for (const int n : {1, 2, 4, 8}) {
+            const std::string row = family + "/" + std::to_string(n);
+            double ns = 0.0;
+            if (benchutil::findGauge(samples, row + "/", ".real_time_ns",
+                                     ns))
+                registry.gauge("bench." + row + ".speedup_vs_serial")
+                    .set(serial_ns / ns);
+        }
+    }
+}
+
 } // namespace
 } // namespace rpx
 
@@ -213,6 +218,7 @@ main(int argc, char **argv)
     rpx::RegistryReporter reporter(registry);
     benchmark::RunSpecifiedBenchmarks(&reporter);
     benchmark::Shutdown();
+    rpx::addSpeedupGauges(registry);
 
     // Headline report. bit_identical is a hard correctness bit (model
     // kind, a flip to 0 must gate); speedups are wall-clock and warn-only

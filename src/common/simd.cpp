@@ -1,6 +1,7 @@
 #include "common/simd.hpp"
 
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -37,12 +38,14 @@ struct KernelTable {
     void (*unpack)(const u8 *, size_t, size_t, u8 *);
     u32 (*count_r)(const u8 *, size_t, size_t);
     void (*lut)(u8 *, size_t, const u8 *);
+    void (*hamming)(const u8 *, const u8 *, size_t, u32 *);
 };
 
 constexpr KernelTable kScalarKernels = {
     detail::unpackMask2bppScalar,
     detail::countR2bppScalar,
     detail::applyLut256Scalar,
+    detail::hamming256Scalar,
 };
 
 #if defined(__x86_64__)
@@ -50,11 +53,13 @@ constexpr KernelTable kSse4Kernels = {
     detail::unpackMask2bppSse4,
     detail::countR2bppSse4,
     detail::applyLut256Sse4,
+    detail::hamming256Sse4,
 };
 constexpr KernelTable kAvx2Kernels = {
     detail::unpackMask2bppAvx2,
     detail::countR2bppAvx2,
     detail::applyLut256Avx2,
+    detail::hamming256Sse4,
 };
 #endif
 
@@ -63,6 +68,7 @@ constexpr KernelTable kNeonKernels = {
     detail::unpackMask2bppNeon,
     detail::countR2bppNeon,
     detail::applyLut256Neon,
+    detail::hamming256Neon,
 };
 #endif
 
@@ -246,6 +252,14 @@ applyLut256(u8 *data, size_t count, const u8 *lut)
     kernels()->lut(data, count, lut);
 }
 
+void
+hamming256(const u8 *query, const u8 *train, size_t count, u32 *out)
+{
+    if (count == 0)
+        return;
+    kernels()->hamming(query, train, count, out);
+}
+
 namespace detail {
 
 void
@@ -310,6 +324,26 @@ applyLut256Scalar(u8 *data, size_t count, const u8 *lut)
 {
     for (size_t i = 0; i < count; ++i)
         data[i] = lut[data[i]];
+}
+
+void
+hamming256Scalar(const u8 *query, const u8 *train, size_t count, u32 *out)
+{
+    // One 8-byte memcpy per word: copying a whole descriptor into a u64[4]
+    // goes through the stack and stalls store-to-load forwarding.
+    const auto word = [](const u8 *p) {
+        u64 w;
+        std::memcpy(&w, p, 8);
+        return w;
+    };
+    const u64 q0 = word(query), q1 = word(query + 8),
+              q2 = word(query + 16), q3 = word(query + 24);
+    for (size_t i = 0; i < count; ++i, train += 32) {
+        out[i] = static_cast<u32>(std::popcount(q0 ^ word(train)) +
+                                  std::popcount(q1 ^ word(train + 8)) +
+                                  std::popcount(q2 ^ word(train + 16)) +
+                                  std::popcount(q3 ^ word(train + 24)));
+    }
 }
 
 } // namespace detail

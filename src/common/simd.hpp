@@ -1,18 +1,19 @@
 /**
  * @file
- * Portable SIMD dispatch shim for the decode-path hot loops.
+ * Portable SIMD dispatch shim for the integer hot loops.
  *
- * Kernels here are the integer-exact inner loops the decoders and the ISP
- * lean on: 2-bit mask-code expansion, packed R-code population counts, and
- * 256-entry LUT application (gamma). Every kernel has a pure-scalar
- * reference implementation plus SSE4.1/AVX2 (x86) and NEON (aarch64)
- * variants that produce **bit-identical output** — they only reorganise
- * integer loads/shuffles, never change arithmetic — so switching levels can
- * never change a decoded byte. Floating-point stages (colour-space
- * conversion, gray weighting) are deliberately *not* reimplemented here:
- * their double-precision rounding is pinned by tests and cannot be
- * reproduced exactly in fixed point, so they stay scalar (see DESIGN.md
- * section 10).
+ * Kernels here are the integer-exact inner loops the decoders, the ISP and
+ * the descriptor matcher lean on: 2-bit mask-code expansion, packed R-code
+ * population counts, 256-entry LUT application (gamma), and 256-bit
+ * Hamming distances (ORB descriptor matching). Every kernel has a
+ * pure-scalar reference implementation plus SSE4.2/AVX2 (x86) and NEON
+ * (aarch64) variants that produce **bit-identical output** — they only
+ * reorganise integer loads/shuffles/population counts, never change
+ * arithmetic — so switching levels can never change a decoded byte or a
+ * match. Floating-point stages (colour-space conversion, gray weighting)
+ * are deliberately *not* reimplemented here: their double-precision
+ * rounding is pinned by tests and cannot be reproduced exactly in fixed
+ * point, so they stay scalar (see DESIGN.md section 10).
  *
  * Dispatch: the best level the CPU supports is detected once (cpuid via
  * __builtin_cpu_supports on x86; NEON is baseline on aarch64) and can be
@@ -35,7 +36,7 @@ namespace rpx::simd {
 /** Instruction-set level a kernel dispatches to. */
 enum class Level : int {
     Scalar = 0, //!< portable C++ (always available)
-    Sse4 = 1,   //!< x86 SSE4.1 (pshufb/popcnt era)
+    Sse4 = 1,   //!< x86 SSE4.2 (pshufb/popcnt era)
     Avx2 = 2,   //!< x86 AVX2 (32-byte shuffles)
     Neon = 3,   //!< aarch64 Advanced SIMD (baseline there)
 };
@@ -89,6 +90,13 @@ u32 countR2bpp(const u8 *packed, size_t first, size_t count);
  */
 void applyLut256(u8 *data, size_t count, const u8 *lut);
 
+/**
+ * Hamming distances from one 32-byte (256-bit) descriptor to `count`
+ * contiguous 32-byte descriptors: out[i] = popcount(query ^ train[32i..]),
+ * 0..256. No alignment is required of either pointer.
+ */
+void hamming256(const u8 *query, const u8 *train, size_t count, u32 *out);
+
 namespace detail {
 
 // Per-level kernel implementations, exposed so the dispatcher (and the
@@ -99,12 +107,18 @@ void unpackMask2bppScalar(const u8 *packed, size_t first, size_t count,
                           u8 *out);
 u32 countR2bppScalar(const u8 *packed, size_t first, size_t count);
 void applyLut256Scalar(u8 *data, size_t count, const u8 *lut);
+void hamming256Scalar(const u8 *query, const u8 *train, size_t count,
+                      u32 *out);
 
 #if defined(__x86_64__)
 void unpackMask2bppSse4(const u8 *packed, size_t first, size_t count,
                         u8 *out);
 u32 countR2bppSse4(const u8 *packed, size_t first, size_t count);
 void applyLut256Sse4(u8 *data, size_t count, const u8 *lut);
+// Also the Avx2 table's Hamming kernel (every AVX2 CPU has popcnt): the
+// popcnt loop has no wider AVX2 form worth a second copy.
+void hamming256Sse4(const u8 *query, const u8 *train, size_t count,
+                    u32 *out);
 
 void unpackMask2bppAvx2(const u8 *packed, size_t first, size_t count,
                         u8 *out);
@@ -117,6 +131,8 @@ void unpackMask2bppNeon(const u8 *packed, size_t first, size_t count,
                         u8 *out);
 u32 countR2bppNeon(const u8 *packed, size_t first, size_t count);
 void applyLut256Neon(u8 *data, size_t count, const u8 *lut);
+void hamming256Neon(const u8 *query, const u8 *train, size_t count,
+                    u32 *out);
 #endif
 
 } // namespace detail

@@ -92,6 +92,21 @@ applyLut256Neon(u8 *data, size_t count, const u8 *lut)
         data[i] = lut[data[i]];
 }
 
+void
+hamming256Neon(const u8 *query, const u8 *train, size_t count, u32 *out)
+{
+    const uint8x16_t q0 = vld1q_u8(query);
+    const uint8x16_t q1 = vld1q_u8(query + 16);
+    for (size_t i = 0; i < count; ++i, train += 32) {
+        // Per-byte counts are <= 8, so the two halves sum to <= 16 per
+        // lane; the widening horizontal add holds the full 0..256.
+        const uint8x16_t c = vaddq_u8(
+            vcntq_u8(veorq_u8(q0, vld1q_u8(train))),
+            vcntq_u8(veorq_u8(q1, vld1q_u8(train + 16))));
+        out[i] = vaddlvq_u8(c);
+    }
+}
+
 } // namespace rpx::simd::detail
 
 #endif // aarch64

@@ -11,6 +11,7 @@
 
 #include <nmmintrin.h>
 
+#include <bit>
 #include <cstring>
 
 namespace rpx::simd::detail {
@@ -148,6 +149,26 @@ applyLut256Sse4(u8 *data, size_t count, const u8 *lut)
     }
     for (; i < count; ++i)
         data[i] = lut[data[i]];
+}
+
+void
+hamming256Sse4(const u8 *query, const u8 *train, size_t count, u32 *out)
+{
+    // hamming256Scalar's loop: -msse4.2 implies -mpopcnt, so each
+    // std::popcount is one popcntq instead of a libgcc call.
+    const auto word = [](const u8 *p) {
+        u64 w;
+        std::memcpy(&w, p, 8);
+        return w;
+    };
+    const u64 q0 = word(query), q1 = word(query + 8),
+              q2 = word(query + 16), q3 = word(query + 24);
+    for (size_t i = 0; i < count; ++i, train += 32) {
+        out[i] = static_cast<u32>(std::popcount(q0 ^ word(train)) +
+                                  std::popcount(q1 ^ word(train + 8)) +
+                                  std::popcount(q2 ^ word(train + 16)) +
+                                  std::popcount(q3 ^ word(train + 24)));
+    }
 }
 
 } // namespace rpx::simd::detail

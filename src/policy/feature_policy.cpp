@@ -21,19 +21,18 @@ void
 FeaturePolicy::observe(const std::vector<OrbFeature> &features)
 {
     displacement_.assign(features.size(), -1.0); // unknown
-    if (!prev_features_.empty() && !features.empty()) {
+    if (!features_.empty() && !features.empty()) {
         const auto matches = matchDescriptors(descriptorsOf(features),
-                                              descriptorsOf(prev_features_));
+                                              descriptorsOf(features_));
         for (const auto &m : matches) {
             const auto &cur = features[m.query_index];
-            const auto &prev = prev_features_[m.train_index];
+            const auto &prev = features_[m.train_index];
             const double dx = cur.x - prev.x;
             const double dy = cur.y - prev.y;
             displacement_[m.query_index] = std::sqrt(dx * dx + dy * dy);
         }
     }
-    current_ = features;
-    prev_features_ = features; // previous observation for the next round
+    features_ = features;
 }
 
 int
@@ -64,9 +63,9 @@ std::vector<RegionLabel>
 FeaturePolicy::regionsForNextFrame() const
 {
     std::vector<RegionLabel> regions;
-    regions.reserve(current_.size());
-    for (size_t i = 0; i < current_.size(); ++i) {
-        const auto &f = current_[i];
+    regions.reserve(features_.size());
+    for (size_t i = 0; i < features_.size(); ++i) {
+        const auto &f = features_[i];
         const double side_d = std::clamp<double>(
             f.size * config_.size_margin, config_.min_region,
             config_.max_region);

@@ -68,9 +68,10 @@ class FeaturePolicy
     i32 frame_w_;
     i32 frame_h_;
     FeaturePolicyConfig config_;
-    std::vector<OrbFeature> prev_features_;
-    std::vector<double> displacement_; //!< per current feature, px/frame
-    std::vector<OrbFeature> current_;
+    /** Last observed frame's features: the next frame's regions, and the
+     *  match target of the next observe(). */
+    std::vector<OrbFeature> features_;
+    std::vector<double> displacement_; //!< per features_ entry, px/frame
 };
 
 } // namespace rpx

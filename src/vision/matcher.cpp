@@ -2,34 +2,9 @@
 
 #include <limits>
 
+#include "common/simd.hpp"
+
 namespace rpx {
-
-namespace {
-
-struct Best {
-    int best = std::numeric_limits<int>::max();
-    int second = std::numeric_limits<int>::max();
-    size_t best_index = 0;
-};
-
-Best
-nearest(const Descriptor &d, const std::vector<Descriptor> &pool)
-{
-    Best out;
-    for (size_t i = 0; i < pool.size(); ++i) {
-        const int dist = hammingDistance(d, pool[i]);
-        if (dist < out.best) {
-            out.second = out.best;
-            out.best = dist;
-            out.best_index = i;
-        } else if (dist < out.second) {
-            out.second = dist;
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 std::vector<Match>
 matchDescriptors(const std::vector<Descriptor> &query,
@@ -40,22 +15,50 @@ matchDescriptors(const std::vector<Descriptor> &query,
     if (query.empty() || train.empty())
         return matches;
 
+    constexpr int kNone = std::numeric_limits<int>::max();
+    const size_t n_train = train.size();
+    std::vector<u32> row(n_train);
+    // Reverse nearest neighbour of each train descriptor over all queries
+    // (strict < keeps the lowest query index among equal distances).
+    std::vector<int> rev_best(options.cross_check ? n_train : 0, kNone);
+    std::vector<size_t> rev_index(rev_best.size(), 0);
+
     for (size_t qi = 0; qi < query.size(); ++qi) {
-        const Best fwd = nearest(query[qi], train);
-        if (fwd.best > options.max_distance)
+        simd::hamming256(query[qi].data(), train.front().data(), n_train,
+                         row.data());
+        // Forward nearest: strict < keeps the lowest train index among
+        // equal best distances, and a duplicate of the best still lowers
+        // the second-best.
+        int best = kNone, second = kNone;
+        size_t best_index = 0;
+        for (size_t ti = 0; ti < n_train; ++ti) {
+            const int dist = static_cast<int>(row[ti]);
+            if (dist < best) {
+                second = best;
+                best = dist;
+                best_index = ti;
+            } else if (dist < second) {
+                second = dist;
+            }
+            if (options.cross_check && dist < rev_best[ti]) {
+                rev_best[ti] = dist;
+                rev_index[ti] = qi;
+            }
+        }
+        if (best > options.max_distance)
             continue;
-        if (options.ratio > 0.0 &&
-            fwd.second != std::numeric_limits<int>::max() &&
-            static_cast<double>(fwd.best) >=
-                options.ratio * static_cast<double>(fwd.second)) {
+        if (options.ratio > 0.0 && second != kNone &&
+            static_cast<double>(best) >=
+                options.ratio * static_cast<double>(second)) {
             continue;
         }
-        if (options.cross_check) {
-            const Best back = nearest(train[fwd.best_index], query);
-            if (back.best_index != qi)
-                continue;
-        }
-        matches.push_back({qi, fwd.best_index, fwd.best});
+        matches.push_back({qi, best_index, best});
+    }
+
+    if (options.cross_check) {
+        std::erase_if(matches, [&](const Match &m) {
+            return rev_index[m.train_index] != m.query_index;
+        });
     }
     return matches;
 }

@@ -28,7 +28,23 @@ struct MatchOptions {
 };
 
 /**
- * Match query descriptors against train descriptors.
+ * Match query descriptors against train descriptors, exhaustively and in
+ * one pass: each query's distances to the whole train set come from one
+ * simd::hamming256 call, folded into that query's best/second-best and
+ * into every train descriptor's running nearest query (the cross-check's
+ * reverse search, so it costs no second scan).
+ *
+ * Tie-break contract (the same at every SIMD level):
+ *  - the forward winner is the lowest train index among equal best
+ *    distances; a second descriptor at the best distance makes the
+ *    second-best equal to the best (so the ratio test rejects the tie);
+ *  - with one train descriptor there is no second-best and the ratio test
+ *    passes;
+ *  - a query is kept iff best <= max_distance, then (ratio > 0) best <
+ *    ratio * second, then (cross_check) it is the train winner's nearest
+ *    query, the lowest query index among equal distances, taken over all
+ *    queries, including ones the first two tests rejected.
+ * Matches come out in ascending query order.
  */
 std::vector<Match> matchDescriptors(const std::vector<Descriptor> &query,
                                     const std::vector<Descriptor> &train,

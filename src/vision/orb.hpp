@@ -21,6 +21,9 @@ namespace rpx {
 
 /** 256-bit binary descriptor. */
 using Descriptor = std::array<u8, 32>;
+// The matcher hands a std::vector<Descriptor> to simd::hamming256 as one
+// run of 32-byte descriptors.
+static_assert(sizeof(Descriptor) == 32);
 
 /** An oriented multi-scale feature. */
 struct OrbFeature {
@@ -54,7 +57,7 @@ std::vector<OrbFeature> detectOrb(const Image &gray,
 
 std::vector<OrbFeature> detectOrb(const Image &gray);
 
-/** Hamming distance between two descriptors (0..256). */
+/** Hamming distance between two descriptors (0..256); simd::hamming256. */
 int hammingDistance(const Descriptor &a, const Descriptor &b);
 
 } // namespace rpx

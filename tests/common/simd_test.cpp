@@ -2,13 +2,14 @@
  * @file
  * SIMD dispatch-shim tests: every kernel must be bit-identical to the
  * scalar reference at every supported level, including unaligned start
- * indices and awkward tail lengths, and the level override machinery
- * must behave (setLevel rejects unsupported levels, resetLevel restores
- * the environment-resolved default).
+ * indices, misaligned base pointers and awkward tail lengths, and the
+ * level override machinery must behave (setLevel rejects unsupported
+ * levels, resetLevel restores the environment-resolved default).
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -164,6 +165,67 @@ TEST(Simd, AllInputByteValuesThroughLut)
             ASSERT_EQ(got[static_cast<size_t>(i)],
                       static_cast<u8>(255 - i))
                 << levelName(level);
+    }
+}
+
+/** Byte-wise Hamming distance between two 32-byte runs. */
+u32
+referenceHamming(const u8 *a, const u8 *b)
+{
+    u32 dist = 0;
+    for (size_t i = 0; i < 32; ++i)
+        dist += static_cast<u32>(
+            std::popcount(static_cast<unsigned>(a[i] ^ b[i])));
+    return dist;
+}
+
+TEST(Simd, Hamming256MatchesReferenceAtEveryLevel)
+{
+    constexpr size_t kMaxCount = 67;
+    // Room for a 3-byte misalignment of both the query and the train run.
+    const std::vector<u8> bytes =
+        randomPacked(32 * (kMaxCount + 2) + 3, 5);
+    for (const Level level : supportedLevels()) {
+        ScopedLevel guard(level);
+        ASSERT_TRUE(guard.ok()) << levelName(level);
+        for (const size_t misalign : {size_t{0}, size_t{1}, size_t{3}}) {
+            const u8 *query = bytes.data() + misalign;
+            const u8 *train = query + 32;
+            for (const size_t count : {size_t{0}, size_t{1}, size_t{2},
+                                       size_t{5}, kMaxCount}) {
+                std::vector<u32> out(count + 1, 0xDEADBEEFu);
+                hamming256(query, train, count, out.data());
+                for (size_t i = 0; i < count; ++i)
+                    ASSERT_EQ(out[i],
+                              referenceHamming(query, train + 32 * i))
+                        << levelName(level) << " misalign=" << misalign
+                        << " count=" << count << " i=" << i;
+                // The kernel must not write past count.
+                EXPECT_EQ(out[count], 0xDEADBEEFu) << levelName(level);
+            }
+        }
+    }
+}
+
+TEST(Simd, Hamming256ExtremesAtEveryLevel)
+{
+    // Query all-zero against {zeros, ones, zeros, ones}: 0, 256, 0, 256.
+    std::vector<u8> run(32 * 5, 0);
+    for (size_t i = 64; i < 96; ++i)
+        run[i] = 0xFF;
+    for (size_t i = 128; i < 160; ++i)
+        run[i] = 0xFF;
+    const std::vector<u32> want = {0, 256, 0, 256};
+    for (const Level level : supportedLevels()) {
+        ScopedLevel guard(level);
+        ASSERT_TRUE(guard.ok()) << levelName(level);
+        std::vector<u32> out(4);
+        hamming256(run.data(), run.data() + 32, 4, out.data());
+        EXPECT_EQ(out, want) << levelName(level);
+        // All-ones query: the complement.
+        hamming256(run.data() + 64, run.data() + 32, 4, out.data());
+        EXPECT_EQ(out, (std::vector<u32>{256, 0, 256, 0}))
+            << levelName(level);
     }
 }
 
